@@ -118,7 +118,11 @@ public:
       uint64_t Foot = objectFootprintWords(Hdr);
       Chunk *Used = nullptr;
       Word *NewHdrSlot = reserve(Foot, &Used);
-      std::memcpy(NewHdrSlot, Obj - 1, Foot * sizeof(Word));
+      // The header comes from the atomic load: another vproc reaching
+      // the same object (both hold it in their roots) may be CASing it
+      // right now. The body is immutable for the whole collection.
+      NewHdrSlot[0] = Hdr;
+      std::memcpy(NewHdrSlot + 1, Obj, (Foot - 1) * sizeof(Word));
       Word NewW = reinterpret_cast<Word>(NewHdrSlot + 1);
       if (HdrRef.compare_exchange_strong(Hdr, NewW,
                                          std::memory_order_acq_rel)) {

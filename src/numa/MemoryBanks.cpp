@@ -11,7 +11,6 @@
 #include "support/MathExtras.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
@@ -27,12 +26,8 @@ MemoryBanks::MemoryBanks(unsigned NumNodes, BindMode Mode,
 
 MemoryBanks::~MemoryBanks() {
   std::lock_guard<SpinLock> Lock(ExtentLock);
-  for (const Extent &E : Extents) {
-    if (Mode == BindMode::Bound)
-      numaos::unmapPages(reinterpret_cast<void *>(E.Begin), E.End - E.Begin);
-    else
-      std::free(reinterpret_cast<void *>(E.Begin));
-  }
+  for (const Extent &E : Extents)
+    numaos::unmapPages(reinterpret_cast<void *>(E.Begin), E.End - E.Begin);
 }
 
 bool MemoryBanks::canBind() { return numaos::available(); }
@@ -68,21 +63,24 @@ void *MemoryBanks::mapAligned(std::size_t Bytes, std::size_t Align) {
 
 void *MemoryBanks::allocFresh(std::size_t Bytes, std::size_t Align,
                               NodeId Node) {
-  void *Mem;
+  void *Mem = mapAligned(Bytes, Align);
+  MANTI_CHECK(Mem, "out of memory in MemoryBanks (mmap)");
+  bool Bound = false;
   if (Mode == BindMode::Bound) {
-    Mem = mapAligned(Bytes, Align);
-    MANTI_CHECK(Mem, "out of memory in MemoryBanks (mmap)");
     // Bind before first touch so every page faults in on its home
     // node's physical bank. Failure (no libnuma, UMA kernel, offlined
     // node) leaves a plain first-touch mapping -- the degradation mode.
     unsigned OsNode = OsNodeIds.empty() ? Node : OsNodeIds[Node];
-    if (numaos::bindToOsNode(Mem, Bytes, OsNode))
-      Banks[Node].Bound += Bytes;
-  } else {
-    Mem = std::aligned_alloc(Align, Bytes);
-    MANTI_CHECK(Mem, "out of memory in MemoryBanks");
+    Bound = numaos::bindToOsNode(Mem, Bytes, OsNode);
   }
-  Banks[Node].Reserved += Bytes;
+  {
+    // Several vprocs may register fresh chunks on one node at once.
+    Bank &B = Banks[Node];
+    std::lock_guard<SpinLock> Lock(B.Lock);
+    B.Reserved += Bytes;
+    if (Bound)
+      B.Bound += Bytes;
+  }
 
   uintptr_t Begin = reinterpret_cast<uintptr_t>(Mem);
   Extent E{Begin, Begin + Bytes, Node};

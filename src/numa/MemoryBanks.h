@@ -5,18 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-node memory banks, in two placement modes.
+/// Per-node memory banks, in two placement modes. Both map every block
+/// arena straight from the OS (anonymous mmap), never from malloc: the
+/// arenas are allocated by whichever vproc thread needs a fresh chunk
+/// batch, and malloc would scatter them over per-thread arenas whose
+/// freed pages stay resident.
 ///
-/// Simulated (default): process-heap arenas that carry the *placement
-/// metadata* -- a block allocated "on node 3" is recorded in a page map,
-/// and every later consumer (the chunk manager's node affinity, the
-/// traffic ledger, the machine model) consults that map exactly as the
-/// real system would ask the OS which node backs a page. This is how the
+/// Simulated (default): arenas that carry the *placement metadata* -- a
+/// block allocated "on node 3" is recorded in a page map, and every
+/// later consumer (the chunk manager's node affinity, the traffic
+/// ledger, the machine model) consults that map exactly as the real
+/// system would ask the OS which node backs a page. This is how the
 /// recorded topologies run on any machine.
 ///
-/// Bound (GCConfig::BindMemory): blocks are mmap'd anonymous arenas and,
-/// when the build carries libnuma (MANTI_NUMA=ON) on a NUMA kernel,
-/// bound to their node's physical bank with mbind before first touch --
+/// Bound (GCConfig::BindMemory): when the build carries libnuma
+/// (MANTI_NUMA=ON) on a NUMA kernel, each arena is additionally bound
+/// to its node's physical bank with mbind before first touch --
 /// the page map then *matches* the OS placement, verifiable through
 /// move_pages (MemoryBindTest does exactly that). Without libnuma the
 /// mode degrades to unbound mappings: still real placement-by-first-
@@ -47,8 +51,8 @@ public:
   static constexpr std::size_t PageSize = 4096;
 
   enum class BindMode {
-    Simulated, ///< process-heap arenas, metadata-only placement
-    Bound,     ///< mmap arenas, mbind'd to nodes when the host can
+    Simulated, ///< metadata-only placement
+    Bound,     ///< arenas mbind'd to their nodes when the host can
   };
 
   /// \p OsNodeIds maps logical node -> OS node for the Bound mode's

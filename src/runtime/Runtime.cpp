@@ -133,22 +133,14 @@ void Runtime::workerLoop(unsigned Id) {
       Counted = false;
     }
     if (!ShuttingDown.load(std::memory_order_acquire)) {
-      VP.poll();
-      if (VP.runOneLocal()) {
-        Sched->noteProgress(VP);
-        continue;
-      }
-      // Rebalanced work parked in this node's shed bay is nearer than
-      // anything a steal could fetch: claim it before probing victims.
-      if (Sched->claimShedAndRun(VP)) {
-        Sched->noteProgress(VP);
-        continue;
-      }
-      if (VP.stealAndRun()) {
-        Sched->noteProgress(VP);
-        continue;
-      }
-      Sched->idleBackoff(VP);
+      // Schedule until the run ends. run() cannot start the next run
+      // before this vproc checks in below, so no epoch is missed.
+      Sched->runUntil(
+          VP,
+          [](void *Ctx) {
+            return !static_cast<Runtime *>(Ctx)->schedulerActive();
+          },
+          this);
       continue;
     }
     // Drain phase: count ourselves once, then keep polling so pending

@@ -183,6 +183,25 @@ VProc *Scheduler::pickVictim(VProc &Thief) {
   return walkTiers(Thief, tierLimit(Thief), [](VProc &) { return true; });
 }
 
+void Scheduler::runUntil(VProc &VP, bool (*Done)(void *), void *Ctx) {
+  while (!Done(Ctx)) {
+    VP.poll();
+    if (VP.runOneLocal()) {
+      noteProgress(VP);
+      continue;
+    }
+    if (Done(Ctx))
+      break;
+    // Shed batches parked in this node's bay are nearer than anything a
+    // steal could fetch; claim them before probing victims.
+    if (claimShedAndRun(VP) || stealAndRun(VP)) {
+      noteProgress(VP);
+      continue;
+    }
+    idleBackoff(VP, /*RecordStats=*/true, Done, Ctx);
+  }
+}
+
 bool Scheduler::stealAndRun(VProc &Thief) {
   unsigned N = RT.numVProcs();
   if (N <= 1)

@@ -149,6 +149,17 @@ public:
   /// limit (it merely keeps probing past a contended victim).
   VProc *pickVictim(VProc &Thief);
 
+  /// The scheduling loop, shared by the worker threads (\p Done = "the
+  /// run is over") and VProc::joinWait (\p Done = the join counter hit
+  /// zero). Each iteration answers \p VP's steal mailbox and takes a
+  /// safe point, runs the newest local task, and only when the queue is
+  /// empty (and \p Done still false) claims a shed batch, steals, or
+  /// steps down the idle ladder. Answering the mailbox *before* running
+  /// local work is what lets a spawner's queue be stolen while the
+  /// spawner works through it. \p Done must be safe to evaluate
+  /// concurrently with whoever makes it true (read atomics).
+  void runUntil(VProc &VP, bool (*Done)(void *), void *Ctx);
+
   /// Thief side: posts a steal request along the proximity order and
   /// runs the first stolen task (queueing the rest of the batch
   /// locally). \returns true if a task was executed.
@@ -172,7 +183,7 @@ public:
   /// keep idling after run() returns, and the stats must be quiescent
   /// for aggregateStats() readers by then. A non-null \p Pred is an
   /// extra wake condition re-checked after the park's epoch snapshot
-  /// (joinWait passes its counter's done()), so a targeted ring for it
+  /// (runUntil passes its Done condition), so a targeted ring for it
   /// can never be lost; the park stays claimable either way, since
   /// idle-ladder callers can all run arbitrary tasks.
   void idleBackoff(VProc &VP, bool RecordStats = true,
@@ -245,7 +256,7 @@ public:
   /// stealing (one patience), unclaimed *remote* bays are claimed too,
   /// nearest first, so a batch shed toward a node whose vprocs all went
   /// busy or blocked can never strand. Called from the idle paths
-  /// (worker loop, joinWait) ahead of stealing; never from
+  /// (runUntil) ahead of stealing; never from
   /// blocked-channel waits, which must not run arbitrary tasks.
   /// \returns true if a task was executed.
   bool claimShedAndRun(VProc &VP);

@@ -179,31 +179,12 @@ void JoinCounter::sub(int64_t N) {
 void VProc::joinWait(JoinCounter &Join) {
   Scheduler &Sched = RT.scheduler();
   // Targeted wake-up routing: the completing sub() rings this node, so
-  // the idle-ladder parks below can use their full bounded backstop
+  // runUntil's idle-ladder parks can use their full bounded backstop
   // instead of busy-polling the counter.
   Join.setWaiter(this);
-  while (!Join.done()) {
-    if (runOneLocal()) {
-      Sched.noteProgress(*this);
-      continue;
-    }
-    poll();
-    if (Join.done())
-      break;
-    // Shed batches parked in this node's bay are nearer than anything a
-    // steal could fetch; claim them before probing victims.
-    if (Sched.claimShedAndRun(*this)) {
-      Sched.noteProgress(*this);
-      continue;
-    }
-    if (stealAndRun()) {
-      Sched.noteProgress(*this);
-      continue;
-    }
-    Sched.idleBackoff(
-        *this, /*RecordStats=*/true,
-        [](void *C) { return static_cast<JoinCounter *>(C)->done(); }, &Join);
-  }
+  Sched.runUntil(
+      *this, [](void *C) { return static_cast<JoinCounter *>(C)->done(); },
+      &Join);
   // Drop the registration: the counter may be reused for a later region
   // whose completing sub() must not ring on a stale waiter.
   Join.setWaiter(nullptr);

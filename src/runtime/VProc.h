@@ -20,6 +20,20 @@
 /// is actually stolen; the eager alternative promotes at spawn time and
 /// is kept as an ablation knob.
 ///
+/// A victim answers its mailbox (VProc::poll) at these points only:
+///   * every iteration of the scheduling loop (Scheduler::runUntil),
+///     before it runs the next local task -- the loop both the worker
+///     threads and joinWait run, so a spawner working through its own
+///     queue keeps handing the oldest tasks to thieves;
+///   * every round of a blocked wait (Scheduler::blockOn: channel
+///     send/recv, run()'s end-of-run drain) and of the workers'
+///     between-runs drain loop;
+///   * a thief's own wait for its victim's answer (attemptSteal), so
+///     mutual steals cannot deadlock;
+///   * between the slices of a concurrent-marking task.
+/// A running task never answers: a thief waits until its victim's
+/// current task returns to the loop (or spawns and joins).
+///
 /// Victim selection, steal batching, and the idle back-off ladder live
 /// in the Scheduler subsystem (runtime/Scheduler.h); the VProc keeps the
 /// owner-thread queue operations and the mailbox the handshake runs on.
@@ -143,8 +157,10 @@ public:
   /// Scheduler's proximity order. \returns true if a task was executed.
   bool stealAndRun();
 
-  /// Runs local and stolen work until \p Join completes, backing off
-  /// through the Scheduler's idle ladder when no work is found.
+  /// Runs local and stolen work until \p Join completes
+  /// (Scheduler::runUntil): answers steal requests before every local
+  /// task, and backs off through the idle ladder when no work is found.
+  /// Takes safe points, so callers keep their live values rooted.
   void joinWait(JoinCounter &Join);
 
   /// Runs \p T with its environment rooted.

@@ -47,6 +47,40 @@ Value sortLeaf(VProc &VP, Value R) {
   return rope::fromArray(VP.heap(), Buf.data(), N);
 }
 
+/// The three ropes of one partition step, rooted in the caller's scope.
+struct Partition {
+  Ref<> Less, Equal, Greater;
+};
+
+/// NESL-style three-way partition of the \p N-element rope \p R on a
+/// median-of-three pivot, done in place in one flat buffer. The buffer
+/// (8*N bytes) dies on return, before the caller forks: kept alive
+/// across the recursive sort and the join, every level of every vproc's
+/// recursion spine would hold one.
+Partition partition(RootScope &S, Value R, int64_t N) {
+  std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
+  rope::toArray(R, Buf.data());
+  auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
+  int64_t A = AsInt(Buf.front());
+  int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
+  int64_t C = AsInt(Buf.back());
+  int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
+
+  auto Lt = std::partition(Buf.begin(), Buf.end(),
+                           [&](uint64_t W) { return AsInt(W) < Pivot; });
+  auto Gt = std::partition(Lt, Buf.end(),
+                           [&](uint64_t W) { return AsInt(W) == Pivot; });
+  int64_t NumLess = Lt - Buf.begin(), NumEqual = Gt - Lt;
+
+  // Braced initializers evaluate left to right; each rope is rooted in
+  // S before the next one allocates.
+  const uint64_t *Data = Buf.data();
+  return {rope::fromArray(S, Data, NumLess),
+          rope::fromArray(S, Data + NumLess, NumEqual),
+          rope::fromArray(S, Data + NumLess + NumEqual,
+                          N - NumLess - NumEqual)};
+}
+
 } // namespace
 
 Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
@@ -56,48 +90,19 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
     return sortLeaf(VP, R);
 
   RootScope S(VP.heap());
-  S.rootExternal(R); // R is this frame's parameter; keep it current
-
-  // NESL-style three-way partition on a median-of-three pivot.
-  std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
-  rope::toArray(R, Buf.data());
-  auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
-  int64_t A = AsInt(Buf.front());
-  int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
-  int64_t C = AsInt(Buf.back());
-  int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
-  std::vector<uint64_t> Less, Equal, Greater;
-  Less.reserve(Buf.size() / 2);
-  Greater.reserve(Buf.size() / 2);
-  for (uint64_t W : Buf) {
-    int64_t V = AsInt(W);
-    if (V < Pivot)
-      Less.push_back(W);
-    else if (V > Pivot)
-      Greater.push_back(W);
-    else
-      Equal.push_back(W);
-  }
-
-  Ref<> LessRope =
-      rope::fromArray(S, Less.data(), static_cast<int64_t>(Less.size()));
-  Ref<> EqualRope =
-      rope::fromArray(S, Equal.data(), static_cast<int64_t>(Equal.size()));
-  Ref<> GreaterRope =
-      rope::fromArray(S, Greater.data(), static_cast<int64_t>(Greater.size()));
+  Partition P = partition(S, R, N);
 
   // Fork: sort the greater partition as a stealable task whose
   // environment is the rope itself; sort the lesser partition here.
   ResultCell Cell(VP);
   SortSplit Split{&RT, Cutoff, &Cell};
-  VP.spawn({sortTask, &Split, GreaterRope, 0, 0});
+  VP.spawn({sortTask, &Split, P.Greater, 0, 0});
 
-  Ref<> SortedLess = S.root(quicksort(RT, VP, LessRope, Cutoff));
+  Ref<> SortedLess = S.root(quicksort(RT, VP, P.Less, Cutoff));
   VP.joinWait(Split.Join);
   Ref<> SortedGreater = S.root(Cell.take());
 
-  Ref<> Front = rope::concat(S, SortedLess, EqualRope);
+  Ref<> Front = rope::concat(S, SortedLess, P.Equal);
   return rope::concat(VP.heap(), Front, SortedGreater);
 }
 

@@ -6,9 +6,10 @@
 // LocalStealFirst ablation knob, steal batching, the cross-thread queue
 // depth counter, the idle ladder's park accounting, the ParkLot
 // doorbells (node-exact rings, broadcast, and the ring-vs-park race),
-// spawn affinity routing, and a steal handshake hammer (the regression
-// test for the StealRequest release/acquire protocol; CI runs this
-// binary under ThreadSanitizer).
+// spawn affinity routing, steals through the real fork-join entry
+// points (parallelFor, parallelReduce), and a steal handshake hammer
+// (the regression test for the StealRequest release/acquire protocol;
+// CI runs this binary under ThreadSanitizer).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <set>
 #include <thread>
@@ -478,38 +480,106 @@ TEST(Scheduler, PopForStealPrefersThiefAffineTasks) {
 }
 
 TEST(Scheduler, AffinityTasksFlowToTheirNode) {
-  // End-to-end: tasks hinted at node 1 end up running there when node 1
-  // has idle vprocs. The spawner never runs its own queue (it blocks in
-  // joinWait only after a final unhinted task), so every hinted task is
-  // stolen; the affinity-aware handshake routes them.
-  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
-  static std::atomic<int> Total;
-  Total = 0;
+  // End-to-end: tasks hinted at node 1 run there. uniform(2, 1) with 2
+  // vprocs puts the spawner alone on node 0 and the only thief on node
+  // 1. The spawner never runs its own queue (it only answers steal
+  // requests), so every hinted task is stolen, and every handover is an
+  // affinity match. No shedding: every migration takes the steal path.
+  RuntimeConfig Cfg = testRuntimeConfig(2);
+  Cfg.ShedThreshold = 0;
+  Runtime RT(Cfg, Topology::uniform(2, 1));
+  ASSERT_EQ(RT.vproc(0).node(), 0u);
+  ASSERT_EQ(RT.vproc(1).node(), 1u);
+  constexpr int Tasks = 64;
+  static std::atomic<int> Remaining, RanOnNode1;
+  Remaining = Tasks;
+  RanOnNode1 = 0;
   RT.run(
       [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int I = 0; I < 64; ++I) {
-          Join.add();
-          Task T{[](Runtime &, VProc &, Task) {
-                   Total.fetch_add(1);
-                   Join.sub();
+        for (int I = 0; I < Tasks; ++I) {
+          Task T{[](Runtime &, VProc &VP2, Task) {
+                   if (VP2.node() == 1)
+                     RanOnNode1.fetch_add(1);
+                   Remaining.fetch_sub(1);
                  },
                  nullptr, Value::nil(), 0, 0};
           T.Affinity = 1;
           VP.spawn(T);
-          // Brief pause so thieves drain the queue through handshakes
-          // rather than the spawner running everything locally.
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
-        VP.joinWait(Join);
+        while (Remaining.load() > 0) {
+          VP.poll();
+          std::this_thread::yield();
+        }
       },
       nullptr);
-  EXPECT_EQ(Total.load(), 64);
+  EXPECT_EQ(Remaining.load(), 0);
+  EXPECT_EQ(RanOnNode1.load(), Tasks);
   SchedStats S = RT.aggregateSchedStats();
-  if (S.TasksStolen > 0) {
-    EXPECT_GT(S.AffinityHandoffs, 0u)
-        << "stolen hinted tasks must register affinity-matched handoffs";
+  EXPECT_EQ(S.TasksStolen, static_cast<uint64_t>(Tasks));
+  EXPECT_EQ(S.AffinityHandoffs, static_cast<uint64_t>(Tasks))
+      << "every task handed to the node-1 thief is an affinity match";
+}
+
+//===----------------------------------------------------------------------===//
+// Fork-join entry points: a spawner's queue is stolen while it joins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int64_t ForkJoinLeaves = 128;
+
+/// Bitmask of the vprocs that ran a leaf, and the number of leaves run.
+std::atomic<unsigned> LeafVProcs;
+std::atomic<int64_t> LeavesRun;
+
+/// A ~100 us leaf: long enough that thieves find the spawner's queue
+/// non-empty while it works through it.
+void spinLeaf(VProc &VP) {
+  LeafVProcs.fetch_or(1u << VP.id());
+  LeavesRun.fetch_add(1);
+  auto End = std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+  while (std::chrono::steady_clock::now() < End) {
   }
+}
+
+/// Runs \p Main on 4 vprocs and checks that its leaves were spread by
+/// steals: the spawner must answer steal requests from inside joinWait.
+void expectLeavesStolen(MainFn Main) {
+  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
+  LeafVProcs = 0;
+  LeavesRun = 0;
+  RT.run(Main, nullptr);
+  EXPECT_EQ(LeavesRun.load(), ForkJoinLeaves);
+  EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 0u);
+  EXPECT_GE(std::popcount(LeafVProcs.load()), 2)
+      << "leaves ran only on vprocs mask " << LeafVProcs.load();
+}
+
+} // namespace
+
+TEST(ForkJoin, ParallelForLeavesAreStolen) {
+  expectLeavesStolen([](Runtime &RT, VProc &VP, void *) {
+    parallelFor(
+        RT, VP, 0, ForkJoinLeaves, 1,
+        [](Runtime &, VProc &VP, int64_t, int64_t, void *) { spinLeaf(VP); },
+        nullptr);
+  });
+}
+
+TEST(ForkJoin, ParallelReduceLeavesAreStolen) {
+  expectLeavesStolen([](Runtime &RT, VProc &VP, void *) {
+    Value Sum = parallelReduce(
+        RT, VP, 0, ForkJoinLeaves, 1,
+        [](Runtime &, VProc &VP, int64_t Lo, int64_t, void *) {
+          spinLeaf(VP);
+          return Value::fromInt(Lo);
+        },
+        [](Runtime &, VProc &, Value L, Value R, void *) {
+          return Value::fromInt(L.asInt() + R.asInt());
+        },
+        nullptr);
+    EXPECT_EQ(Sum.asInt(), ForkJoinLeaves * (ForkJoinLeaves - 1) / 2);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -101,9 +101,10 @@ TEST(QuicksortWL, StealsPromoteRopeEnvironments) {
   // sort as a task the main vproc refuses to run: a worker must steal
   // it, promoting the input rope (lazy promotion at steal time).
   Runtime RT(wlConfig(4), Topology::uniform(2, 2));
-  static RootSortPack Pack;
+  RootSortPack Pack; // fresh per run, so the test repeats cleanly
   RT.run(
-      [](Runtime &, VProc &VP, void *) {
+      [](Runtime &, VProc &VP, void *Ctx) {
+        RootSortPack &Pack = *static_cast<RootSortPack *>(Ctx);
         RootScope Scope(VP.heap());
         XorShift64 Rng(99);
         std::vector<uint64_t> In(20000);
@@ -117,13 +118,37 @@ TEST(QuicksortWL, StealsPromoteRopeEnvironments) {
           std::this_thread::yield();
         }
       },
-      nullptr);
+      &Pack);
   EXPECT_TRUE(Pack.Sorted);
   GCStats Total = RT.world().aggregateStats();
   EXPECT_GT(Total.PromoteBytes, 0u)
       << "the stolen root sort must promote its input rope";
   EXPECT_GT(RT.vproc(0).stealsServiced(), 0u);
   verifyWorld(RT.world());
+}
+
+TEST(QuicksortWL, RunQuicksortSubsortsAreStolen) {
+  // runQuicksort through its real fork-join path (spawn + joinWait) on
+  // 4 vprocs, with leaf sorts of ~100 us: the spawner must hand pending
+  // sub-sorts to idle vprocs while it joins.
+  Runtime RT(wlConfig(4), Topology::uniform(2, 2));
+  QuicksortResult Res;
+  RT.run(
+      [](Runtime &RT, VProc &VP, void *Ctx) {
+        QuicksortParams P;
+        P.NumElements = 200000;
+        P.Cutoff = 2048;
+        *static_cast<QuicksortResult *>(Ctx) = runQuicksort(RT, VP, P);
+      },
+      &Res);
+  EXPECT_TRUE(Res.Sorted);
+  EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 0u);
+  // vproc 0 sorts the leftmost partition; a thief runs the leftmost
+  // leaf of every sub-sort it receives.
+  unsigned Sorters = 1;
+  for (unsigned I = 1; I < RT.numVProcs(); ++I)
+    Sorters += RT.vproc(I).stealsOut() > 0;
+  EXPECT_GE(Sorters, 2u);
 }
 
 //===----------------------------------------------------------------------===//
