@@ -307,6 +307,7 @@ void ConcurrentMark::initRendezvous(VProcHeap &H) {
   W.GCBarrier.arriveAndWait();
 
   H.local().restoreLimit();
+  H.rearmLimitSignal();
 }
 
 void ConcurrentMark::drainUntilEmpty(VProcHeap &H) {
@@ -379,6 +380,7 @@ void ConcurrentMark::terminalRendezvous(VProcHeap &H) {
   W.GCBarrier.arriveAndWait();
 
   H.local().restoreLimit();
+  H.rearmLimitSignal();
 }
 
 void ConcurrentMark::dispatch(VProcHeap &H) {

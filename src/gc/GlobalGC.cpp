@@ -355,8 +355,10 @@ void GlobalCollection::participate(VProcHeap &H) {
   }
   W.GCBarrier.arriveAndWait();
 
-  // Each vproc restores its own allocation limit and resumes.
+  // Each vproc restores its own allocation limit (keeping any signal
+  // still owed) and resumes.
   H.local().restoreLimit();
+  H.rearmLimitSignal();
 }
 
 void globalGCParticipate(VProcHeap &H) {

@@ -324,19 +324,43 @@ void VProcHeap::debugCheckShadowStack() const {
       CheckSlot(Slab->Slots[I]);
 }
 
+void VProcHeap::takeLimitSignal() {
+  // Take the flag before restoring the limit. A thief sets its flag
+  // before it zeroes the limit, so a zero that lands after this restore
+  // either comes with a flag still set or belongs to a request this call
+  // answers; the next slow-path entry restores such a stale zero. The
+  // flag is taken even when the limit is intact: a collection's resplit
+  // may have raced the thief's zero.
+  bool Steal = StealSignal.exchange(false, std::memory_order_acq_rel);
+  if (Local.limitSignalled()) {
+    Local.restoreLimit();
+    // Order the restore before safePoint's phase load: a collection
+    // requested before the restore is then seen through the phase word
+    // even though its limit zero was overwritten.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+  if (Steal)
+    World.notifyStealHook(Id);
+}
+
 Word *VProcHeap::allocSlowPath(uint16_t Id, uint64_t LenWords) {
   uint64_t FootBytes = (LenWords + 1) * sizeof(Word);
-  for (unsigned Attempt = 0;; ++Attempt) {
-    MANTI_CHECK(Attempt < 8, "allocation cannot make progress");
-
-    // A zeroed limit may mean a pending collection rendezvous rather
-    // than a full nursery (Section 3.4 step 2); safePoint dispatches on
-    // the phase word and participates in whichever flavor is underway.
+  for (unsigned Attempt = 0;;) {
+    // A zeroed limit may mean a steal request or a pending collection
+    // rendezvous rather than a full nursery (Section 3.4 step 2). The
+    // steal is answered first; safePoint then dispatches on the phase
+    // word and participates in whichever collection flavor is underway
+    // (including one the answer's promotion just requested).
+    takeLimitSignal();
     safePoint();
     if (Word *P = Local.tryAlloc(Id, LenWords))
       return P;
+    // Signalled again since the restore: each such retry answers a new
+    // request from another vproc, so only collecting rounds count
+    // toward the progress bound.
     if (Local.limitSignalled())
       continue;
+    MANTI_CHECK(Attempt++ < 8, "allocation cannot make progress");
 
     // Raw objects too large for the nursery go straight to the global
     // heap: they contain no pointers, so the no-global-to-local-pointer

@@ -21,8 +21,8 @@
 /// A VProcHeap bundles a vproc's local Appel heap, its current global
 /// chunk, its shadow stack of roots, its proxy table, and its GC
 /// statistics. All allocation goes through the VProcHeap and must happen
-/// on the vproc's own thread; the only cross-thread operation is the
-/// global collector zeroing allocation limits.
+/// on the vproc's own thread; the only cross-thread operations are the
+/// global collector and a thief zeroing allocation limits.
 ///
 /// Rooting discipline: any Value live across an allocation must be
 /// registered in the shadow stack (RootScope in Handles.h; the
@@ -321,6 +321,22 @@ public:
   /// \returns true if this vproc's allocation limit has been zeroed.
   bool gcSignalled() const { return Local.limitSignalled(); }
 
+  /// Steal signal (any thread): the limit-pointer interrupt of Section
+  /// 3.4 step 2, used for a steal request instead of a collection. Sets
+  /// the steal flag, then zeroes the allocation limit, so the owner
+  /// enters allocSlowPath at its next allocation and answers its steal
+  /// mailbox there through the runtime's steal hook.
+  void signalSteal() {
+    StealSignal.store(true, std::memory_order_release);
+    Local.signalLimit();
+  }
+
+  /// \returns true while a steal signal is set and not yet taken by the
+  /// allocation slow path.
+  bool stealSignalled() const {
+    return StealSignal.load(std::memory_order_acquire);
+  }
+
   /// Aborts unless every shadow-stack slot holds nil, a tagged int, or a
   /// pointer to a live object in this vproc's local heap or the global
   /// heap. Run before every forced collection under GCConfig::StressGC;
@@ -395,6 +411,18 @@ public:
   /// oversized chunk for very large objects.
   Word *globalReserve(uint64_t FootprintWords, Chunk **UsedChunk);
 
+  /// Trigger check after \p JustAllocatedBytes landed in the global
+  /// heap (direct allocation, promotion, or a major collection's copy):
+  /// the classic active-bytes threshold in STW mode, or the stride-gated
+  /// allocation watermark in concurrent mode.
+  void maybeTriggerGlobalGC(uint64_t JustAllocatedBytes);
+
+  /// Re-zeroes the allocation limit, after a collection restored it, if
+  /// a signal is still owed: a pending rendezvous or an untaken steal
+  /// signal. Without this a collection would swallow the signal and the
+  /// request would wait for the next poll.
+  void rearmLimitSignal();
+
 private:
   friend class GCWorld;
   friend class ConcurrentMark;
@@ -415,10 +443,10 @@ private:
   Word *sizeClassTryPop(uint64_t LenWords);
   void stressGCBeforeAlloc();
   bool vectorIsOversized(std::size_t N) const;
-  /// Trigger check after \p JustAllocatedBytes landed in the global
-  /// heap: the classic active-bytes threshold in STW mode, or the
-  /// stride-gated allocation watermark in concurrent mode.
-  void maybeTriggerGlobalGC(uint64_t JustAllocatedBytes);
+  /// Slow-path entry: takes the steal flag, restores a zeroed limit, and
+  /// answers the steal mailbox through the steal hook if the flag was
+  /// set.
+  void takeLimitSignal();
 
   /// Per-vproc size-class cache for small vector allocation: Heads[L] is
   /// an intrusive freelist (linked through each run's first data word)
@@ -444,6 +472,8 @@ private:
   /// Bytes accumulated toward the next watermark summation (owner-only;
   /// the summation itself is the expensive part the stride amortizes).
   uint64_t WatermarkResidue = 0;
+  /// Set by a thief (signalSteal), taken by the owner's slow path.
+  std::atomic<bool> StealSignal{false};
 };
 
 //===----------------------------------------------------------------------===//
@@ -540,6 +570,22 @@ public:
   void notifyConcurrentMarkHook(unsigned LeaderVProc) {
     if (ConcMarkHook)
       ConcMarkHook(ConcMarkHookCtx, LeaderVProc);
+  }
+
+  /// Registers the runtime's steal hook: invoked on a vproc's own thread
+  /// from its allocation slow path after a steal signal
+  /// (VProcHeap::signalSteal), so a running task answers a thief's
+  /// mailbox at its next allocation. The runtime wires this to
+  /// Scheduler::serviceSteal.
+  void setStealHook(void (*Fn)(void *, unsigned VProcId), void *Ctx) {
+    StealHook = Fn;
+    StealHookCtx = Ctx;
+  }
+
+  /// Invokes the registered steal hook, if any (slow-path use).
+  void notifyStealHook(unsigned VProcId) {
+    if (StealHook)
+      StealHook(StealHookCtx, VProcId);
   }
 
   /// Home NUMA node of the memory backing \p V: the backing chunk's home
@@ -661,6 +707,8 @@ private:
   void *WakeupHookCtx = nullptr;
   void (*ConcMarkHook)(void *, unsigned) = nullptr;
   void *ConcMarkHookCtx = nullptr;
+  void (*StealHook)(void *, unsigned) = nullptr;
+  void *StealHookCtx = nullptr;
 
   /// ObjectType<T> tag address -> object id (see typedObjectId).
   std::unordered_map<const void *, uint16_t> TypedObjectIds;
@@ -670,13 +718,26 @@ private:
 // Object accessors (used by the runtime, workloads, and tests)
 //===----------------------------------------------------------------------===//
 
+/// \returns the header of the object \p V points at. A promotion husk
+/// (a local object whose header promote() replaced with a forwarding
+/// word) answers with its global copy's header: rooted slots keep
+/// pointing at husks until the next local collection repairs them, and
+/// a steal answered mid-task can promote what the running code holds.
+/// The husk's fields stay intact, so only header reads need the hop.
+inline Word objectHeader(Value V) {
+  Word Hdr = headerOf(V.asPtr());
+  if (MANTI_UNLIKELY(isForwardWord(Hdr)))
+    Hdr = headerOf(reinterpret_cast<const Word *>(Hdr));
+  return Hdr;
+}
+
 /// \returns the length in data words of the object \p V points at.
 inline uint64_t objectLenWords(Value V) {
-  return headerLenWords(headerOf(V.asPtr()));
+  return headerLenWords(objectHeader(V));
 }
 
 /// \returns the object ID of the object \p V points at.
-inline uint16_t objectId(Value V) { return headerId(headerOf(V.asPtr())); }
+inline uint16_t objectId(Value V) { return headerId(objectHeader(V)); }
 
 /// Vector accessors.
 inline uint64_t vectorLen(Value V) { return objectLenWords(V); }
@@ -726,6 +787,11 @@ inline void VProcHeap::safePoint() {
     return;
   }
   concurrentGCSafePoint(*this);
+}
+
+inline void VProcHeap::rearmLimitSignal() {
+  if (World.rendezvousRequested() || stealSignalled())
+    Local.signalLimit();
 }
 
 inline void VProcHeap::satbRecord(Value Old) {

@@ -200,15 +200,15 @@ void manti::majorGCImpl(VProcHeap &H, EvacuateMode Mode) {
   }
 
   L.resplitNursery();
-  if (H.world().rendezvousRequested())
-    L.signalLimit();
+  H.rearmLimitSignal();
 
-  // Acquiring chunks may have pushed the global heap over its trigger
-  // (the paper: vprocs-times-32MB). Requesting is a no-op while a global
-  // collection is already pending or in progress.
-  GCWorld &W = H.world();
-  if (W.chunks().activeBytes() > W.globalGCThresholdBytes())
-    W.requestGlobalGC();
+  // The copy may have pushed the global heap over its trigger (the
+  // paper: vprocs-times-32MB). Through the same check as every other
+  // global allocation, so in concurrent mode data that arrives by
+  // promotion starts a marking cycle at the watermark instead of only
+  // ever reaching the stop-the-world backstop. Requesting is a no-op
+  // while a global collection is already pending or in progress.
+  H.maybeTriggerGlobalGC(Evac.bytesCopied());
 
   MANTI_DEBUG("gc", "vp%u major(%s): promoted %llu slid %lld words", H.id(),
               Mode == EvacuateMode::OldOnly ? "old" : "all",

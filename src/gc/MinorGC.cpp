@@ -114,9 +114,8 @@ void manti::minorGCImpl(VProcHeap &H) {
   L.resplitNursery();
 
   // resplitNursery restored the allocation limit; do not swallow a
-  // pending global-collection (or concurrent-rendezvous) signal.
-  if (H.world().rendezvousRequested())
-    L.signalLimit();
+  // pending rendezvous or steal signal.
+  H.rearmLimitSignal();
 
   MANTI_DEBUG("gc", "vp%u minor: copied %zu reclaimed %zu", H.id(), Copied,
               NurseryUsed - Copied);

@@ -77,6 +77,16 @@ Runtime::Runtime(const RuntimeConfig &Config, const Topology &Topo)
       },
       this);
 
+  // A thief's steal signal is answered from the victim's allocation
+  // slow path, so a running task hands over its queue at its next
+  // allocation instead of at its next poll.
+  World.setStealHook(
+      [](void *RTPtr, unsigned VProcId) {
+        Runtime *RT = static_cast<Runtime *>(RTPtr);
+        RT->scheduler().serviceSteal(RT->vproc(VProcId));
+      },
+      this);
+
   // Initially "between runs": workers idle in the drained state.
   ShuttingDown.store(true, std::memory_order_release);
   for (unsigned I = 1; I < Config.NumVProcs; ++I)

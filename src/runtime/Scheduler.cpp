@@ -255,9 +255,12 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
     ++Thief.SStats.FailedStealAttempts;
     return false; // another thief got there first
   }
-  // The victim answers mailboxes from its poll loop; if it is parked
-  // (idle between polls, or blocked in a channel), ring its node so the
-  // handshake is not stuck behind a park backstop.
+  // The victim answers at its next poll, or -- if it is running a task
+  // -- at its next allocation: the steal signal zeroes its allocation
+  // limit, so its slow path answers through the steal hook. If it is
+  // parked (idle between polls, or blocked in a channel), the ring
+  // keeps the handshake from waiting out a park backstop.
+  Victim.heap().signalSteal();
   ringNode(Thief, Victim.node());
 
   // Wait for the victim's answer; keep answering our own mailbox and
@@ -316,7 +319,9 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
         // store pairs with the victim's acquire, ordering our
         // consumption before its next chunk's writes. Straight-line
         // from the Filled load to here -- no safe point with an
-        // unconsumed chunk in hand.
+        // unconsumed chunk in hand. The re-signal lets a victim that
+        // is running a task send the next chunk from its allocation
+        // slow path too.
         for (unsigned I = 0; I < Count; ++I)
           Thief.enqueueStolen(Req.Stolen[I]);
         for (unsigned I = 0; I < Count; ++I)
@@ -324,6 +329,7 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
         Req.Count = 0;
         Req.State.store(StealRequest::Consumed,
                         std::memory_order_release);
+        Victim.heap().signalSteal();
         continue;
       }
       // Final (or only) chunk: run its oldest task directly -- no safe

@@ -171,7 +171,12 @@ public:
   /// the first chunk of up to ceil(k/2) tasks under steal-half, with
   /// the rest parked as an ActiveSteal continuation for later polls
   /// (the victim never blocks mid-transfer). Runs on the victim's own
-  /// thread (a local heap may only be copied from by its owner).
+  /// thread (a local heap may only be copied from by its owner): from
+  /// its polls, and from its allocation slow path after a steal signal
+  /// (the runtime's steal hook), so it may run in the middle of any
+  /// task. It never allocates locally -- promotion copies into the
+  /// global heap -- so the slow-path hook cannot re-enter it, and no
+  /// owner-side code holds a ready-queue reference across an allocation.
   /// \returns true if progress was made (a chunk sent, or a request
   /// answered -- successfully or not).
   bool serviceSteal(VProc &Victim);

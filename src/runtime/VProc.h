@@ -12,15 +12,23 @@
 ///
 /// Stealing is a two-party handshake through a mailbox rather than a
 /// concurrent deque: the thief posts a StealRequest on the victim's
-/// mailbox and the victim answers at its next poll point. This mirrors
-/// Manticore's message-based steals and, crucially, lets the *victim*
-/// promote the stolen tasks' environments out of its own local heap --
-/// only the owner of a local heap may copy from it. With lazy promotion
-/// (the default, after Rainey 2010) that cost is paid only when a task
-/// is actually stolen; the eager alternative promotes at spawn time and
-/// is kept as an ablation knob.
+/// mailbox and the victim answers at its next poll point or allocation.
+/// This mirrors Manticore's message-based steals and, crucially, lets
+/// the *victim* promote the stolen tasks' environments out of its own
+/// local heap -- only the owner of a local heap may copy from it. With
+/// lazy promotion (the default, after Rainey 2010) that cost is paid
+/// only when a task is actually stolen; the eager alternative promotes
+/// at spawn time and is kept as an ablation knob.
 ///
-/// A victim answers its mailbox (VProc::poll) at these points only:
+/// A victim answers its mailbox (Scheduler::serviceSteal) at these
+/// points:
+///   * its next allocation while it runs a task: after posting, the
+///     thief sets the victim's steal flag and zeroes its allocation
+///     limit (VProcHeap::signalSteal, the limit-pointer signal a
+///     collection request uses), so the victim's next allocation enters
+///     the slow path and answers through the runtime's steal hook. Each
+///     Consumed ack of a steal-half transfer re-signals, so later
+///     chunks go out the same way;
 ///   * every iteration of the scheduling loop (Scheduler::runUntil),
 ///     before it runs the next local task -- the loop both the worker
 ///     threads and joinWait run, so a spawner working through its own
@@ -31,8 +39,11 @@
 ///   * a thief's own wait for its victim's answer (attemptSteal), so
 ///     mutual steals cannot deadlock;
 ///   * between the slices of a concurrent-marking task.
-/// A running task never answers: a thief waits until its victim's
-/// current task returns to the loop (or spawns and joins).
+/// Only a task that neither allocates nor polls keeps a thief waiting.
+/// An answer mid-task promotes environments the running code may still
+/// hold; its handles then point at promotion husks, which read right
+/// (objectHeader follows the forwarding word) until the next local
+/// collection repairs them.
 ///
 /// Victim selection, steal batching, and the idle back-off ladder live
 /// in the Scheduler subsystem (runtime/Scheduler.h); the VProc keeps the
@@ -256,9 +267,9 @@ private:
   /// Owner-only continuation of an in-flight chunked (steal-half)
   /// transfer this vproc is servicing as the victim: the request whose
   /// thief owes a Consumed ack, and the tasks still promised. The next
-  /// chunk goes out from serviceSteal at a later poll; the idle ladder
-  /// yields instead of parking while a transfer is open so the thief is
-  /// never left waiting on a park backstop.
+  /// chunk goes out from serviceSteal at a later poll or allocation; the
+  /// idle ladder yields instead of parking while a transfer is open so
+  /// the thief is never left waiting on a park backstop.
   StealRequest *ActiveSteal = nullptr;
   std::size_t ActiveStealBudget = 0;
   std::vector<ResultCell *> Cells;     ///< live result cells we own

@@ -45,7 +45,7 @@ struct SimParams {
   AllocPolicyKind Policy = AllocPolicyKind::Local;
   unsigned Threads = 1;
 
-  // Model constants (see EXPERIMENTS.md for calibration notes).
+  // Model constants: calibrated, not measured (see Workload.h).
   double GcCpuPerAllocByte = 0.2;  ///< copying-collector cycles per byte
   double GcMemPerAllocByte = 0.3;  ///< local-heap DRAM bytes per byte
                                    ///< (nursery mostly stays in L3)

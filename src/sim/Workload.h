@@ -24,8 +24,7 @@
 ///    the local policy these pages distribute with the computation.
 ///
 /// The profiles' constants (cycles and bytes per element) are
-/// calibrated, not measured from the paper's testbed; EXPERIMENTS.md
-/// records the calibration and the resulting shapes.
+/// calibrated, not measured from the paper's testbed.
 ///
 //===----------------------------------------------------------------------===//
 

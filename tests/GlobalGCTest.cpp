@@ -463,6 +463,34 @@ TEST(ConcurrentGlobalGC, WatermarkTriggersAutomatically) {
   verifyHeap(H);
 }
 
+TEST(ConcurrentGlobalGC, WatermarkTriggersOnMajorPromotion) {
+  // Global data that arrives only through major collections -- no
+  // promote() call, no direct global allocation -- must still start a
+  // concurrent cycle at the watermark, not fall through to the
+  // stop-the-world backstop at the hard threshold.
+  GCConfig Cfg = smallConfig();
+  Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
+  Cfg.ConcurrentGlobal = true;
+  Cfg.ConcurrentMarkWatermark = 0.5;
+  TestWorld TW(1, Cfg);
+  VProcHeap &H = TW.heap();
+  GcFrame Frame(H);
+  Value &Keep = Frame.root(Value::nil());
+  int64_t Cells = 0;
+  for (int I = 0; I < 400 && TW.World.concurrentGCCount() == 0; ++I) {
+    // Live local data grows until major collections copy it out.
+    for (int J = 0; J < 50; ++J, ++Cells)
+      Keep = cons(H, Value::fromInt(Cells), Keep);
+    H.safePoint();
+  }
+  EXPECT_GT(H.Stats.MajorBytesPromoted, 0u);
+  EXPECT_EQ(H.Stats.PromoteCalls, 0u) << "no direct promotion";
+  EXPECT_GE(TW.World.concurrentGCCount(), 1u)
+      << "major-GC promotion must trip the concurrent-mark watermark";
+  EXPECT_EQ(listSum(Keep), Cells * (Cells - 1) / 2);
+  verifyHeap(H);
+}
+
 TEST(ConcurrentGlobalGCParallel, MutationUnderConcurrentMark) {
   GCConfig Cfg = smallConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024;
