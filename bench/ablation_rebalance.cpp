@@ -2,19 +2,12 @@
 //
 // Part of the manticore-gc project.
 //
-// Sweeps the three PR-5 load-balancing mechanisms, each against its
-// baseline, fully crossed:
+// Sweeps the push side of load balancing against its baseline:
 //
-//   rebalance -- shed     victim-initiated shedding on
-//                          (RuntimeConfig::ShedThreshold > 0)
-//                no-shed  push side off (ShedThreshold = 0): a skewed
-//                          producer rebalances only at remote-steal
-//                          patience
-//   batch     -- half     steal-half (one handshake drains ceil(k/2) of
-//                          a deep queue in mailbox chunks)
-//                fixed    the fixed per-handshake StealBatch cap
-//   patience  -- adapt    per-thief patience scaled by steal success
-//                fixed    the fixed RemoteStealPatience threshold
+//   shed     victim-initiated shedding on (RuntimeConfig::ShedThreshold
+//            > 0)
+//   no-shed  push side off (ShedThreshold = 0): a skewed producer
+//            rebalances only at remote-steal patience
 //
 // on two workloads over both recorded topologies:
 //
@@ -30,8 +23,7 @@
 //             nodes block-by-block, and each phase makes exactly one
 //             node's block heavy. The heavy node's queues run deep while
 //             everyone else drains and parks -- the adversarial case for
-//             thief-only balancing, and the natural one for steal-half
-//             (deep queue, one victim).
+//             thief-only balancing.
 //
 // --quick runs the CI smoke sizing; --json <path> writes the table as
 // machine-readable rows (the bench-smoke job uploads it as
@@ -65,21 +57,13 @@ int Phases = 3;           ///< phased: heavy-block rotations
 constexpr int EnvLen = 8; ///< ints per skewed leaf environment
 constexpr int HeavyFactor = 24; ///< phased: heavy / light work ratio
 
-struct Combo {
-  bool Shed;
-  bool Half;
-  bool Adapt;
-};
-
-RuntimeConfig comboConfig(unsigned NumVProcs, Combo C) {
+RuntimeConfig shedConfig(unsigned NumVProcs, bool Shed) {
   RuntimeConfig Cfg;
   Cfg.GC.LocalHeapBytes = 256 * 1024;
   Cfg.GC.GlobalGCBytesPerVProc = 2 * 1024 * 1024;
   Cfg.NumVProcs = NumVProcs;
   Cfg.PinThreads = false;
-  Cfg.ShedThreshold = C.Shed ? 24 : 0;
-  Cfg.StealHalf = C.Half;
-  Cfg.AdaptivePatience = C.Adapt;
+  Cfg.ShedThreshold = Shed ? 24 : 0;
   return Cfg;
 }
 
@@ -115,8 +99,8 @@ void skewedLeaf(Runtime &, VProc &, Task T) {
   static_cast<JoinCounter *>(T.Ctx)->sub();
 }
 
-RunResult runSkewed(const Topology &Topo, unsigned NumVProcs, Combo C) {
-  Runtime RT(comboConfig(NumVProcs, C), Topo);
+RunResult runSkewed(const Topology &Topo, unsigned NumVProcs, bool Shed) {
+  Runtime RT(shedConfig(NumVProcs, Shed), Topo);
   static SkewCtx Ctx;
   Ctx = {Bursts, TasksPerBurst};
   static double Seconds;
@@ -189,8 +173,8 @@ NodeId phasedAffinity(int64_t Lo, int64_t, void *CtxP) {
       static_cast<unsigned>(Lo / Ctx->PerBlock) % Ctx->Nodes);
 }
 
-RunResult runPhased(const Topology &Topo, unsigned NumVProcs, Combo C) {
-  Runtime RT(comboConfig(NumVProcs, C), Topo);
+RunResult runPhased(const Topology &Topo, unsigned NumVProcs, bool Shed) {
+  Runtime RT(shedConfig(NumVProcs, Shed), Topo);
   static PhasedCtx Ctx;
   Ctx = {0, PerBlock, Topo.numNodes()};
   static double Seconds;
@@ -222,14 +206,10 @@ RunResult runPhased(const Topology &Topo, unsigned NumVProcs, Combo C) {
 //===----------------------------------------------------------------------===//
 
 void printRow(benchutil::JsonReport &Json, const char *Machine,
-              const char *Workload, Combo C, int Ops, const RunResult &R) {
+              const char *Workload, bool Shed, int Ops, const RunResult &R) {
   const SchedStats &S = R.Sched;
-  const char *Rebalance = C.Shed ? "shed" : "no-shed";
-  const char *Batch = C.Half ? "half" : "fixed";
-  const char *Patience = C.Adapt ? "adapt" : "fixed";
-  Json.addRow(Machine,
-              std::string(Workload) + "/" + Rebalance + "+" + Batch +
-                  "+" + Patience,
+  const char *Rebalance = Shed ? "shed" : "no-shed";
+  Json.addRow(Machine, std::string(Workload) + "/" + Rebalance,
               {{"ops", static_cast<double>(Ops)},
                {"seconds", R.Seconds},
                {"us_per_op", 1e6 * R.Seconds / Ops},
@@ -242,10 +222,10 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
                {"failed_rounds", static_cast<double>(S.FailedStealRounds)},
                {"patience_drops", static_cast<double>(S.PatienceDrops)},
                {"patience_raises", static_cast<double>(S.PatienceRaises)}});
-  std::printf("%-8s %-7s %-8s %-6s %-6s %8d %8.3f %8.1f %6llu %6llu "
-              "%7llu %6.2f %5.2f %7llu\n",
-              Machine, Workload, Rebalance, Batch, Patience, Ops,
-              R.Seconds, static_cast<double>(S.ParkNanos) / 1e6,
+  std::printf("%-8s %-7s %-8s %8d %8.3f %8.1f %6llu %6llu %7llu %6.2f "
+              "%5.2f %7llu\n",
+              Machine, Workload, Rebalance, Ops, R.Seconds,
+              static_cast<double>(S.ParkNanos) / 1e6,
               static_cast<unsigned long long>(S.TasksShed),
               static_cast<unsigned long long>(S.ShedTasksClaimed),
               static_cast<unsigned long long>(S.TasksStolen),
@@ -258,8 +238,7 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
 int main(int argc, char **argv) {
   benchutil::BenchOptions Opts = benchutil::BenchOptions::parse(
       argc, argv, "ablation_rebalance",
-      "Adaptive load-balancing ablation: victim-initiated shedding x "
-      "steal-half x adaptive patience.");
+      "Load-balancing ablation: victim-initiated shedding on vs off.");
   const bool Quick = Opts.Quick;
   if (Quick) {
     Bursts = 8;
@@ -270,18 +249,16 @@ int main(int argc, char **argv) {
   }
   benchutil::JsonReport Json("ablation_rebalance", Opts.JsonPath);
 
-  std::printf("Ablation: adaptive load balancing (victim-initiated "
-              "shedding x steal-half x adaptive patience)%s\n",
+  std::printf("Ablation: load balancing (victim-initiated shedding on "
+              "vs off)%s\n",
               Quick ? " [--quick]" : "");
   std::printf("skewed: producer bursts against parked remote nodes "
               "(park-ms: shed must undercut no-shed);\n"
               "phased: phase-imbalanced parallelFor, one heavy "
               "node-block per phase\n\n");
-  std::printf("%-8s %-7s %-8s %-6s %-6s %8s %8s %8s %6s %6s %7s %6s "
-              "%5s %7s\n",
-              "machine", "work", "rebal", "batch", "patnce", "ops",
-              "seconds", "park-ms", "shed", "claim", "stolen", "avg/b",
-              "chk/h", "failed");
+  std::printf("%-8s %-7s %-8s %8s %8s %8s %6s %6s %7s %6s %5s %7s\n",
+              "machine", "work", "rebal", "ops", "seconds", "park-ms",
+              "shed", "claim", "stolen", "avg/b", "chk/h", "failed");
 
   struct MachineDef {
     const char *Name;
@@ -296,22 +273,17 @@ int main(int argc, char **argv) {
       {"amd48", Topology::amdMagnyCours48(), 8},
       {"intel32", Topology::intelXeon32(), 8},
   };
-  const Combo Combos[8] = {
-      {true, true, true},   {true, true, false},  {true, false, true},
-      {true, false, false}, {false, true, true},  {false, true, false},
-      {false, false, true}, {false, false, false},
-  };
+  const bool ShedSides[2] = {true, false};
 
   // Warm-up (discarded): thread creation and first-touch noise.
-  (void)runSkewed(Machines[0].Topo, Machines[0].VProcs,
-                  {true, true, true});
+  (void)runSkewed(Machines[0].Topo, Machines[0].VProcs, true);
 
-  // Median-of-3 per configuration (by park time, the headline): on a
+  // Median-of-5 per configuration (by park time, the headline): on a
   // shared host the OS scheduler adds large per-run jitter, and the
   // minimum would select runs where the fleet never parked at all.
-  const int Reps = 3;
+  constexpr int Reps = 5;
   auto MedianOf = [&](auto Run) {
-    RunResult Rs[3];
+    RunResult Rs[Reps];
     for (int R = 0; R < Reps; ++R)
       Rs[R] = Run();
     std::sort(Rs, Rs + Reps, [](const RunResult &A, const RunResult &B) {
@@ -325,27 +297,24 @@ int main(int argc, char **argv) {
     const MachineDef &Mach = Machines[M];
     if (!Opts.runsTopology(Mach.Name))
       continue;
-    for (const Combo &C : Combos) {
+    for (bool Shed : ShedSides) {
       RunResult R =
-          MedianOf([&] { return runSkewed(Mach.Topo, Mach.VProcs, C); });
-      printRow(Json, Mach.Name, "skewed", C, Bursts * TasksPerBurst, R);
-      // Headline: park time summed over the four combos on each side of
-      // the shed knob (12 medianed runs apiece), so one jittery
-      // configuration cannot flip the comparison.
-      (C.Shed ? ShedParkMs : NoShedParkMs)[M] +=
+          MedianOf([&] { return runSkewed(Mach.Topo, Mach.VProcs, Shed); });
+      printRow(Json, Mach.Name, "skewed", Shed, Bursts * TasksPerBurst, R);
+      (Shed ? ShedParkMs : NoShedParkMs)[M] =
           static_cast<double>(R.Sched.ParkNanos) / 1e6;
     }
-    for (const Combo &C : Combos) {
+    for (bool Shed : ShedSides) {
       int Ops = static_cast<int>(Mach.Topo.numNodes()) * PerBlock * Phases;
-      printRow(Json, Mach.Name, "phased", C, Ops, MedianOf([&] {
-                 return runPhased(Mach.Topo, Mach.VProcs, C);
+      printRow(Json, Mach.Name, "phased", Shed, Ops, MedianOf([&] {
+                 return runPhased(Mach.Topo, Mach.VProcs, Shed);
                }));
     }
   }
 
-  std::printf("\nHeadline (skewed, summed over the batch x patience "
-              "sweep): park time with shedding vs the\nShedThreshold=0 "
-              "baseline\n");
+  std::printf("\nHeadline (skewed, median of %d): park time with shedding "
+              "vs the ShedThreshold=0\nbaseline\n",
+              Reps);
   for (int M = 0; M < 2; ++M)
     std::printf("  %-8s shed %8.1f ms   no-shed %8.1f ms   (%s)\n",
                 Machines[M].Name, ShedParkMs[M], NoShedParkMs[M],
@@ -358,9 +327,8 @@ int main(int argc, char **argv) {
       "after k * patience empty-handed rounds per proximity tier, every\n"
       "one of them spent deeper in the park ladder; the shed path hands\n"
       "a promoted batch to the most-starved parked node at spawn time\n"
-      "and rings exactly one of its sleepers. Steal-half shows up in the\n"
-      "chk/h column (chunks per handshake > 1 = one handshake drained a\n"
-      "deep queue); adaptive patience in the failed-rounds column (dry\n"
-      "neighborhoods unlock remote tiers sooner).\n");
+      "and rings exactly one of its sleepers. The chk/h column is\n"
+      "chunks per steal handshake (> 1 = one handshake drained half of\n"
+      "a deep queue).\n");
   return Json.write() ? 0 : 1;
 }

@@ -21,7 +21,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <deque>
 #include <vector>
 
 using namespace manti;
@@ -66,22 +65,6 @@ static void BM_NurseryAlloc(benchmark::State &State) {
   State.SetBytesProcessed(State.iterations() * (Words + 1) * 8);
 }
 BENCHMARK(BM_NurseryAlloc)->Arg(2)->Arg(8)->Arg(64);
-
-/// The same bump allocation through the out-of-line twin of the fast
-/// path (the pre-inlining code shape, kept for exactly this comparison):
-/// the delta against BM_NurseryAlloc is what header-inlining the
-/// tryAlloc fast path buys per allocation.
-static void BM_NurseryAllocOutlined(benchmark::State &State) {
-  GCWorld World(benchConfig(), Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  int64_t Words = State.range(0);
-  for (auto _ : State) {
-    Value V = gcinternal::HeapAccess::allocRawOutlined(H, nullptr, Words * 8);
-    benchmark::DoNotOptimize(V);
-  }
-  State.SetBytesProcessed(State.iterations() * (Words + 1) * 8);
-}
-BENCHMARK(BM_NurseryAllocOutlined)->Arg(2)->Arg(8)->Arg(64);
 
 /// Allocate a fresh live list, then minor-collect it: measures the
 /// mutator-allocation plus nursery-copy cycle at a given live size.
@@ -201,8 +184,6 @@ BENCHMARK(BM_MixedObjectScan)->Arg(512)->Arg(4096);
 
 /// Small-vector allocation through the size-class cache: after the
 /// first refill, every allocation of the same class is a freelist pop.
-/// Compare against BM_VectorAllocCold (cache disabled) for what the
-/// cache buys on the vector path.
 static void BM_VectorAlloc(benchmark::State &State) {
   GCWorld World(benchConfig(), Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
@@ -225,35 +206,10 @@ static void BM_VectorAlloc(benchmark::State &State) {
 }
 BENCHMARK(BM_VectorAlloc)->Arg(2)->Arg(8);
 
-/// The same vector allocations with GCConfig::SizeClassCache off: every
-/// allocation takes the pre-cache path (slow-path call, header write,
-/// per-allocation stress gate). The kept baseline for the delta.
-static void BM_VectorAllocCold(benchmark::State &State) {
-  GCConfig Cfg = benchConfig();
-  Cfg.SizeClassCache = false;
-  GCWorld World(Cfg, Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  std::size_t N = static_cast<std::size_t>(State.range(0));
-  Value Elems[16] = {};
-  GcFrame Frame(H);
-  for (std::size_t I = 0; I < N; ++I) {
-    Elems[I] = Value::fromInt(static_cast<int64_t>(I));
-    Frame.root(Elems[I]);
-  }
-  for (auto _ : State) {
-    Value V = H.allocVector(Elems, N);
-    benchmark::DoNotOptimize(V);
-  }
-  State.SetBytesProcessed(State.iterations() * (N + 1) * 8);
-}
-BENCHMARK(BM_VectorAllocCold)->Arg(2)->Arg(8);
-
 /// Handle-layer root registration: one RootScope with N rooted slots,
 /// opened and torn down per iteration. This is the fixed overhead every
 /// handle-using operation pays before touching the heap (the
 /// lock-free-structure ops in src/structures/ open one per retry loop).
-/// RootScope stores slots in registered slabs; BM_RootScopeRegisterDeque
-/// below replays the retired per-slot design for the delta.
 static void BM_RootScopeRegister(benchmark::State &State) {
   GCWorld World(benchConfig(), Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
@@ -268,49 +224,6 @@ static void BM_RootScopeRegister(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * Roots);
 }
 BENCHMARK(BM_RootScopeRegister)->Arg(1)->Arg(4)->Arg(16);
-
-namespace {
-
-/// Bench-local replica of the pre-slab RootScope storage: a deque of
-/// owned slots, each individually pushed onto (and popped from) the
-/// shadow stack. Kept only so BM_RootScopeRegisterDeque keeps measuring
-/// what the slabbed scope replaced.
-class DequeRootScope {
-public:
-  explicit DequeRootScope(VProcHeap &H)
-      : H(H), Mark(H.ShadowStack.size()) {}
-  ~DequeRootScope() { H.ShadowStack.resize(Mark); }
-  Value &slot(Value V) {
-    Owned.push_back(V);
-    H.ShadowStack.push_back(&Owned.back());
-    return Owned.back();
-  }
-
-private:
-  VProcHeap &H;
-  std::size_t Mark;
-  std::deque<Value> Owned;
-};
-
-} // namespace
-
-/// The retired per-slot registration path (deque storage + individual
-/// shadow-stack pushes), measured through a bench-local replica: the
-/// kept baseline BM_RootScopeRegister is compared against.
-static void BM_RootScopeRegisterDeque(benchmark::State &State) {
-  GCWorld World(benchConfig(), Topology::singleNode(1), 1);
-  VProcHeap &H = World.heap(0);
-  int64_t Roots = State.range(0);
-  for (auto _ : State) {
-    DequeRootScope Scope(H);
-    for (int64_t I = 0; I < Roots; ++I) {
-      Value &S = Scope.slot(Value::fromInt(I));
-      benchmark::DoNotOptimize(S);
-    }
-  }
-  State.SetItemsProcessed(State.iterations() * Roots);
-}
-BENCHMARK(BM_RootScopeRegisterDeque)->Arg(1)->Arg(4)->Arg(16);
 
 namespace {
 

@@ -131,6 +131,6 @@ int main() {
               static_cast<unsigned long long>(R.GlobalObjects));
 
   // Full collector report (the library's `+RTS -s`).
-  printGCReport(stdout, World);
+  std::fputs(buildGCReport(World).human().c_str(), stdout);
   return 0;
 }

@@ -342,26 +342,3 @@ Report manti::buildGCReport(GCWorld &World, const SchedStats &Sched) {
               Report::Unit::Count, "patience drops");
   return R;
 }
-
-//===----------------------------------------------------------------------===//
-// Convenience faces
-//===----------------------------------------------------------------------===//
-
-std::string manti::gcReportString(GCWorld &World) {
-  return buildGCReport(World).human();
-}
-
-std::string manti::gcReportString(GCWorld &World, const SchedStats &Sched) {
-  return buildGCReport(World, Sched).human();
-}
-
-void manti::printGCReport(std::FILE *Out, GCWorld &World) {
-  std::string Report = gcReportString(World);
-  std::fwrite(Report.data(), 1, Report.size(), Out);
-}
-
-void manti::printGCReport(std::FILE *Out, GCWorld &World,
-                          const SchedStats &Sched) {
-  std::string Report = gcReportString(World, Sched);
-  std::fwrite(Report.data(), 1, Report.size(), Out);
-}

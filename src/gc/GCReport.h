@@ -30,7 +30,6 @@
 #include "gc/Heap.h"
 #include "runtime/SchedStats.h"
 
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,12 +104,6 @@ Report buildGCReport(GCWorld &World);
 /// Collector report plus a scheduler section rendered from \p Sched
 /// (typically Runtime::aggregateSchedStats()).
 Report buildGCReport(GCWorld &World, const SchedStats &Sched);
-
-/// Convenience faces over buildGCReport(...).human().
-void printGCReport(std::FILE *Out, GCWorld &World);
-std::string gcReportString(GCWorld &World);
-void printGCReport(std::FILE *Out, GCWorld &World, const SchedStats &Sched);
-std::string gcReportString(GCWorld &World, const SchedStats &Sched);
 
 } // namespace manti
 

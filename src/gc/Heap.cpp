@@ -396,30 +396,6 @@ Word *VProcHeap::allocSlowPath(uint16_t Id, uint64_t LenWords) {
 // Public allocators
 //===----------------------------------------------------------------------===//
 
-/// Out-of-line twins of the header-inlined fast path, kept only so the
-/// microbench can measure what the call-boundary version used to cost.
-MANTI_NOINLINE Word *VProcHeap::allocLocalOutlined(uint16_t Id,
-                                                   uint64_t LenWords) {
-  if (MANTI_UNLIKELY(World.Config.StressGC))
-    stressGCBeforeAlloc();
-  Stats.BytesAllocatedLocal += (LenWords + 1) * sizeof(Word);
-  if (Word *P = Local.tryAlloc(Id, LenWords))
-    return P;
-  return allocSlowPath(Id, LenWords);
-}
-
-MANTI_NOINLINE Value gcinternal::HeapAccess::allocRawOutlined(
-    VProcHeap &H, const void *Data, std::size_t Bytes) {
-  uint64_t LenWords = std::max<uint64_t>(1, divideCeil(Bytes, sizeof(Word)));
-  Word *Obj = H.allocLocalOutlined(IdRaw, LenWords);
-  Obj[LenWords - 1] = 0; // zero the tail beyond Bytes
-  if (Data)
-    std::memcpy(Obj, Data, Bytes);
-  else
-    std::memset(Obj, 0, LenWords * sizeof(Word));
-  return Value::fromPtr(Obj);
-}
-
 /// Vectors larger than a quarter of the local heap are allocated in the
 /// global heap directly (the paper's workloads use rope-like segmented
 /// structures for bulk data; this is the corresponding large-object
@@ -435,8 +411,7 @@ bool VProcHeap::vectorIsOversized(std::size_t N) const {
 static constexpr uint64_t SizeClassBatchRuns = 8;
 
 Word *VProcHeap::sizeClassRefill(uint64_t LenWords) {
-  if (!World.Config.SizeClassCache ||
-      LenWords > SizeClassCacheState::MaxWords)
+  if (LenWords > SizeClassCacheState::MaxWords)
     return allocLocalObject(IdVector, LenWords);
   // One stress gate per batch (not per run): carving run-by-run through
   // allocLocalObject would collect -- and flush -- between runs, so the

@@ -166,12 +166,6 @@ struct GCConfig {
   /// ConcurrentGlobal). Starting early keeps the cycle ahead of the
   /// hard threshold, whose crossing still forces a STW fallback.
   double ConcurrentMarkWatermark = 0.5;
-  /// Per-vproc size-class caching for small vector allocation: refills
-  /// carve a batch of equally-sized runs off the nursery in one bump and
-  /// recycle them through per-size freelists. Flushed at every minor and
-  /// major collection (the runs live in the nursery), so StressGC still
-  /// collects -- and still catches rooting bugs -- at batch granularity.
-  bool SizeClassCache = true;
   /// Software-prefetch the next object's header and the current object's
   /// pointer-field targets in the collector scan loops (minor Cheney
   /// scan, global evacuator drain, concurrent marker drain). Knob so the
@@ -430,9 +424,6 @@ private:
 
   Chunk *acquireChunkCounted();
   Word *allocLocalObject(uint16_t Id, uint64_t LenWords);
-  /// Out-of-line twin of allocLocalObject for the microbench's
-  /// before/after comparison (gcinternal::HeapAccess::allocRawOutlined).
-  Word *allocLocalOutlined(uint16_t Id, uint64_t LenWords);
   Word *allocSlowPath(uint16_t Id, uint64_t LenWords);
   Value allocVectorSlow(const Value *Elems, std::size_t N);
   Value allocVectorFillSlow(std::size_t N, Value Fill);

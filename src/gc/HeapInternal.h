@@ -38,11 +38,6 @@ struct HeapAccess {
   static Value allocMixedRooted(VProcHeap &H, uint16_t Id,
                                 const Word *RawFields,
                                 Value *const *PtrFieldSlots);
-  /// Deliberately out-of-line twin of VProcHeap::allocRaw, kept so
-  /// gc_microbench can report the call-boundary cost the header-inlined
-  /// fast path removed. Not for production use.
-  static Value allocRawOutlined(VProcHeap &H, const void *Data,
-                                std::size_t Bytes);
 };
 
 /// Allocates a mixed-type object of registered type \p Id. \p Fields

@@ -36,9 +36,8 @@
 /// The doorbell carries no data: every happens-before edge for the
 /// *condition* (queue depths, mailbox state, channel Ready flags, the
 /// global-GC pending flag) still comes from that state's own atomics.
-/// The ParkLot only decides who sleeps and who is woken, which is why
-/// disabling it (RuntimeConfig::UseDoorbells = false, the ablation
-/// baseline) degrades latency but never correctness.
+/// The ParkLot only decides who sleeps and who is woken: a lost ring
+/// would cost latency (the parker's bounded backstop), never correctness.
 ///
 /// One structure here *does* carry data: the per-node **shed bay**, the
 /// push side of victim-initiated rebalancing. A vproc whose queue runs

@@ -50,19 +50,16 @@ Runtime::Runtime(const RuntimeConfig &Config, const Topology &Topo)
 
   World.setVProcRootEnumerator(&Runtime::enumerateVProcRootsThunk, this);
   World.setGlobalRootEnumerator(&Runtime::enumerateGlobalRootsThunk, this);
-  if (Config.UseDoorbells) {
-    // The global-GC trigger (and completion) rings the broadcast
-    // doorbell: every parked vproc reaches its safe point immediately
-    // instead of waiting out a park interval.
-    World.setWakeupHook(
-        [](void *LotPtr) { static_cast<ParkLot *>(LotPtr)->ringBroadcast(); },
-        Lot.get());
-  }
+  // The global-GC trigger (and completion) rings the broadcast
+  // doorbell: every parked vproc reaches its safe point immediately
+  // instead of waiting out a park interval.
+  World.setWakeupHook(
+      [](void *LotPtr) { static_cast<ParkLot *>(LotPtr)->ringBroadcast(); },
+      Lot.get());
   // Concurrent marking is driven by ordinary tasks: when a cycle's init
   // rendezvous flips to ConcMark, the leader (world still stopped at the
   // pre-release barrier, so owner-only spawn onto its own queue is safe)
-  // seeds one marker per node. Wired unconditionally -- markers are part
-  // of the collector, not the doorbell policy.
+  // seeds one marker per node.
   World.setConcurrentMarkHook(
       [](void *RTPtr, unsigned LeaderVProc) {
         Runtime *RT = static_cast<Runtime *>(RTPtr);

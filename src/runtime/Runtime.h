@@ -73,41 +73,18 @@ struct RuntimeConfig {
   /// is restored when the runtime is destroyed.
   bool PinThreads = true;
   /// Mailbox chunk size for steal handshakes (clamped to
-  /// [1, StealRequest::MaxBatch]). With StealHalf=false it is also the
-  /// per-handshake cap, and 1 restores single-task steals.
+  /// [1, StealRequest::MaxBatch]). One handshake moves the oldest
+  /// ceil(k/2) tasks of a deep queue, StealBatch tasks per chunk (each
+  /// chunk's environments promoted together).
   unsigned StealBatch = 4;
-  /// Steal-half: one handshake moves the oldest ceil(k/2) tasks of a
-  /// deep queue, chunked StealBatch at a time through the same mailbox
-  /// (each chunk's environments promoted together). false restores the
-  /// fixed per-handshake StealBatch cap (ablation baseline), under which
-  /// draining a deep queue costs one full handshake per StealBatch
-  /// tasks.
-  bool StealHalf = true;
-  /// Walk the topology's proximity tiers when choosing steal victims
-  /// (same-node first, then by node distance). false restores the
-  /// uniform-random victim selection (ablation control).
-  bool LocalStealFirst = true;
-  /// Remote-steal throttle (only with LocalStealFirst): a thief probes
-  /// its own node every round, but each farther proximity tier unlocks
-  /// only after this many consecutive failed rounds, so a node's own
-  /// vprocs get first claim on new work before remote thieves converge
-  /// on it. 0 unlocks every tier immediately (and disables
-  /// AdaptivePatience: there is no throttle to adapt).
+  /// Remote-steal throttle: a thief probes its own node every round,
+  /// but each farther proximity tier unlocks only after this many
+  /// consecutive failed rounds, so a node's own vprocs get first claim
+  /// on new work before remote thieves converge on it. Each thief's
+  /// patience starts here and adapts to its observed steal success rate
+  /// (see Scheduler). 0 unlocks every tier immediately and leaves
+  /// nothing to adapt.
   unsigned RemoteStealPatience = 64;
-  /// Adapt each thief's patience to its observed steal success rate:
-  /// over windows of steal rounds, nearly-always-empty rounds halve the
-  /// patience (reach remote tiers sooner -- the neighborhood is dry) and
-  /// reliably successful rounds double it (work is near; stay home),
-  /// clamped to [RemoteStealPatienceMin, RemoteStealPatienceMax] and
-  /// seeded from RemoteStealPatience. false freezes the fixed
-  /// RemoteStealPatience threshold (ablation baseline).
-  bool AdaptivePatience = true;
-  /// Lower clamp for the adaptive patience (never reach remote tiers
-  /// with less delay than this).
-  unsigned RemoteStealPatienceMin = 8;
-  /// Upper clamp for the adaptive patience (never throttle remote tiers
-  /// harder than this).
-  unsigned RemoteStealPatienceMax = 512;
   /// Victim-initiated shedding: when a vproc's queue depth reaches this
   /// at spawn time and some other node sits starved with parked vprocs,
   /// the spawner pushes a promoted, affinity-respecting batch of up to
@@ -116,12 +93,6 @@ struct RuntimeConfig {
   /// to remote-steal patience. 0 disables the push side (ablation
   /// baseline).
   unsigned ShedThreshold = 32;
-  /// Route every blocking site through the ParkLot's per-node doorbells:
-  /// idle and channel-blocked vprocs park on their node's doorbell and
-  /// are rung awake by spawns, steal requests, channel peers, and the
-  /// global-GC broadcast. false restores the blind bounded-sleep ladder
-  /// (the parking ablation baseline; correct but latency-blind).
-  bool UseDoorbells = true;
 };
 
 using MainFn = void (*)(Runtime &RT, VProc &VP, void *Ctx);

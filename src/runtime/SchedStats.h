@@ -29,9 +29,8 @@ struct SchedStats {
   // Thief side: successful steal handshakes, classified by whether the
   // victim ran on the thief's NUMA node (Section 2.1: a cross-node steal
   // drags an environment -- and its subsequent promotions -- across the
-  // interconnect). With RuntimeConfig::StealHalf a single handshake may
-  // carry several mailbox-sized chunks; StealChunks counts them (equal to
-  // StealBatches in the fixed-batch baseline).
+  // interconnect). A single handshake may carry several mailbox-sized
+  // chunks; StealChunks counts them.
   uint64_t TasksStolen = 0;      ///< tasks received via steals
   uint64_t StealBatches = 0;     ///< successful handshakes
   uint64_t StealChunks = 0;      ///< mailbox chunks across those handshakes
@@ -71,7 +70,7 @@ struct SchedStats {
   uint64_t ShedTasksClaimed = 0; ///< tasks received through those pickups
 
   // Adaptive remote-steal patience (per-vproc multiplicative updates,
-  // bounded by RuntimeConfig::RemoteStealPatience{Min,Max}).
+  // clamped to [8, 512] rounds).
   uint64_t PatienceRaises = 0; ///< windows that doubled the patience
   uint64_t PatienceDrops = 0;  ///< windows that halved it
 
@@ -91,8 +90,8 @@ struct SchedStats {
                         : 0.0;
   }
 
-  /// Mean mailbox chunks per successful steal handshake (1.0 in the
-  /// fixed-batch baseline; > 1 means steal-half drained deep queues).
+  /// Mean mailbox chunks per successful steal handshake (> 1 means
+  /// steal-half drained deep queues).
   double meanStealChunks() const {
     return StealBatches ? static_cast<double>(StealChunks) /
                               static_cast<double>(StealBatches)

@@ -25,10 +25,10 @@ namespace {
 constexpr unsigned SpinRounds = 16;
 constexpr unsigned YieldRounds = 32;
 constexpr unsigned MinParkMicros = 8;
-/// Park backstop: with doorbells a ring ends the wait immediately, so
-/// this bound only matters when a wake-up signal has no ring (e.g. a
-/// join counter hitting zero) or in the ladder-baseline ablation. Small
-/// enough that such a vproc still reaches its next safe point promptly.
+/// Park backstop: a ring ends the wait immediately, so this bound only
+/// matters when a wake-up signal has no ring (e.g. a join counter
+/// hitting zero). Small enough that such a vproc still reaches its next
+/// safe point promptly.
 constexpr unsigned MaxParkMicros = 256;
 
 /// blockOn's poll+yield spin before the first doorbell park: long
@@ -47,25 +47,19 @@ constexpr std::size_t RemoteRingDepth = 4;
 /// rounds.
 constexpr unsigned PatienceWindow = 32;
 
+/// Clamps for the adaptive patience: never reach remote tiers with less
+/// delay than PatienceMin rounds, never throttle them harder than
+/// PatienceMax.
+constexpr unsigned PatienceMin = 8;
+constexpr unsigned PatienceMax = 512;
+
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
     : RT(RT), Lot(RT.parkLot()),
       StealBatch(std::clamp(RT.config().StealBatch, 1u,
                             StealRequest::MaxBatch)),
-      LocalStealFirst(RT.config().LocalStealFirst),
-      UseDoorbells(RT.config().UseDoorbells),
-      StealHalf(RT.config().StealHalf),
       RemotePatience(RT.config().RemoteStealPatience),
-      // Patience 0 means "no remote throttle at all"; there is nothing
-      // for the adaptive controller to scale, so it stays off.
-      Adaptive(RT.config().AdaptivePatience &&
-               RT.config().RemoteStealPatience != 0),
-      PatienceMin(std::max(1u, RT.config().RemoteStealPatienceMin)),
-      // Clamp against the already-sanitized lower bound (PatienceMin is
-      // initialized first), so Min=Max=0 cannot produce a zero ceiling
-      // that a patience raise would store and tierLimit divide by.
-      PatienceMax(std::max(PatienceMin, RT.config().RemoteStealPatienceMax)),
       ShedThreshold(RT.config().ShedThreshold) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
@@ -117,12 +111,13 @@ std::size_t Scheduler::tierLimit(const VProc &Thief) const {
   if (RemotePatience == 0)
     return Proximity[Thief.id()].size();
   const BackoffState &B = Backoff[Thief.id()];
-  unsigned Patience = Adaptive ? B.Patience : RemotePatience;
-  return 1 + static_cast<std::size_t>(B.FailedRounds / Patience);
+  return 1 + static_cast<std::size_t>(B.FailedRounds / B.Patience);
 }
 
 void Scheduler::notePatienceSample(VProc &VP, bool Success) {
-  if (!Adaptive)
+  // Patience 0 means "no remote throttle at all"; there is nothing to
+  // scale.
+  if (RemotePatience == 0)
     return;
   BackoffState &B = Backoff[VP.id()];
   ++B.WindowRounds;
@@ -170,16 +165,6 @@ VProc *Scheduler::walkTiers(VProc &Thief, std::size_t TierLimit,
 }
 
 VProc *Scheduler::pickVictim(VProc &Thief) {
-  unsigned N = RT.numVProcs();
-  if (N <= 1)
-    return nullptr;
-  if (!LocalStealFirst) {
-    // Ablation baseline: uniform over the other vprocs, load-blind.
-    unsigned VictimId = static_cast<unsigned>(Thief.Rng.nextBelow(N - 1));
-    if (VictimId >= Thief.id())
-      ++VictimId;
-    return &RT.vproc(VictimId);
-  }
   return walkTiers(Thief, tierLimit(Thief), [](VProc &) { return true; });
 }
 
@@ -208,19 +193,6 @@ bool Scheduler::stealAndRun(VProc &Thief) {
     return false;
 
   BackoffState &B = Backoff[Thief.id()];
-  if (!LocalStealFirst) {
-    VProc *Victim = pickVictim(Thief);
-    if (Victim && attemptSteal(Thief, *Victim)) {
-      B.FailedRounds = 0;
-      notePatienceSample(Thief, true);
-      return true;
-    }
-    ++B.FailedRounds;
-    ++Thief.SStats.FailedStealRounds;
-    notePatienceSample(Thief, false);
-    return false;
-  }
-
   // One round: walk the proximity tiers nearest-first, probing each
   // tier's members in a randomized rotation so same-node thieves spread
   // over their victims. Only loaded victims are worth a handshake; a
@@ -375,15 +347,12 @@ bool Scheduler::serviceSteal(VProc &Victim) {
   }
   // Steal the oldest ceil(k/2) tasks: they are the largest units of
   // pending work, and handing over several at once amortizes the
-  // handshake and the promotion pauses. With steal-half the whole
-  // budget moves through the one handshake in StealBatch-sized chunks;
-  // the fixed-batch baseline caps the budget at one chunk. The mailbox
-  // is cleared up front (release-published before the first Filled):
-  // during a long transfer other thieves may post fresh requests, which
-  // this vproc answers once the transfer is done.
+  // handshake and the promotion pauses. The whole budget moves through
+  // the one handshake in StealBatch-sized chunks. The mailbox is cleared
+  // up front (release-published before the first Filled): during a long
+  // transfer other thieves may post fresh requests, which this vproc
+  // answers once the transfer is done.
   std::size_t Budget = (K + 1) / 2;
-  if (!StealHalf)
-    Budget = std::min<std::size_t>(Budget, StealBatch);
   Victim.Mailbox.store(nullptr, std::memory_order_release);
   ++Victim.SStats.BatchesServiced;
 
@@ -583,8 +552,7 @@ bool Scheduler::claimShedAndRun(VProc &VP) {
   // open up on the same terms as remote victims -- after one patience
   // of empty-handed rounds -- so the bay's own node still gets first
   // claim on its batches.
-  unsigned Patience =
-      Adaptive ? Backoff[VP.id()].Patience : RemotePatience;
+  unsigned Patience = Backoff[VP.id()].Patience;
   if (Patience != 0 && Backoff[VP.id()].FailedRounds < Patience)
     return false;
   for (NodeId N : NodeOrder[VP.node()])
@@ -600,20 +568,6 @@ unsigned Scheduler::parkMicrosFor(unsigned Step) {
 void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
                              bool (*Pred)(void *), void *PredCtx,
                              bool Claimable) {
-  if (!UseDoorbells) {
-    // Ladder baseline: a blind bounded sleep nobody can cut short.
-    auto Start = std::chrono::steady_clock::now();
-    std::this_thread::sleep_for(std::chrono::microseconds(Micros));
-    auto End = std::chrono::steady_clock::now();
-    if (RecordStats) {
-      ++VP.SStats.Parks;
-      VP.SStats.ParkNanos += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
-              .count());
-      ++VP.SStats.ParkTimeouts;
-    }
-    return;
-  }
   // Doorbell park: snapshot the epochs, re-check every standing wake
   // condition, then wait. Any ring that lands after the snapshot --
   // including the global-GC broadcast -- makes the wait return
@@ -622,7 +576,7 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
   // shed-claim targets: targeting must not count a channel-blocked
   // parker, which cannot run arbitrary tasks.
   ParkLot::Token T = Lot.prepare(VP.node(), Claimable);
-  // Fence pairing with tryRing: in the seq_cst fence order, either this
+  // Fence pairing with ringNode: in the seq_cst fence order, either this
   // fence precedes the ringer's (so the ringer's waiter-count load sees
   // prepare's increment and rings) or the ringer's precedes this one
   // (so the re-checks below see the condition its ring site published).
@@ -682,7 +636,7 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
                RecordStats, Pred, PredCtx, /*Claimable=*/true);
 }
 
-bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
+bool Scheduler::ringNode(VProc &Ringer, NodeId Node) {
   ++Ringer.SStats.RingsSent;
   // Skip the epoch bump and futex when nobody is parked: the common
   // busy-system case stays a fence plus one atomic load. The fence
@@ -696,24 +650,16 @@ bool Scheduler::tryRing(VProc &Ringer, NodeId Node) {
   return false;
 }
 
-void Scheduler::ringNode(VProc &Ringer, NodeId Node) {
-  if (!UseDoorbells)
-    return;
-  tryRing(Ringer, Node);
-}
-
 void Scheduler::noteSpawn(VProc &VP, const Task &T) {
-  if (!UseDoorbells)
-    return;
   // A hinted task rings its data's node first ("tasks chase their
   // data"); with no hint the spawner's own node is the target.
   if (T.Affinity != Task::NoAffinity && T.Affinity != VP.node() &&
-      tryRing(VP, T.Affinity))
+      ringNode(VP, T.Affinity))
     return;
   // Hinted node saturated (or no hint): the task sits on *this* queue,
   // so parked local peers can steal it either way -- ring them rather
   // than leaving them to their backstops.
-  if (tryRing(VP, VP.node()))
+  if (ringNode(VP, VP.node()))
     return;
   // Local vprocs are all busy too. Once the queue runs deep enough that
   // this node cannot drain it alone, wake the nearest node with parked
@@ -722,7 +668,7 @@ void Scheduler::noteSpawn(VProc &VP, const Task &T) {
     return;
   for (NodeId Remote : NodeOrder[VP.node()]) {
     if (Lot.parkedOn(Remote) != 0) {
-      tryRing(VP, Remote);
+      ringNode(VP, Remote);
       return;
     }
   }
@@ -741,7 +687,7 @@ void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
   // Slow path: doorbell parks with the same growing bounded backstop as
   // the idle ladder. Every wake-up a channel block waits for has a ring
   // (hand-offs, Taken, steal requests, the GC broadcast) and the fence
-  // pairing in doorbellPark/tryRing means none can be missed, so the
+  // pairing in doorbellPark/ringNode means none can be missed, so the
   // backstop is purely a safety net; it is kept short anyway because on
   // an oversubscribed host a shallow sleep resumes faster than a deep
   // futex wake. poll() between parks keeps this vproc answering steal

@@ -21,17 +21,13 @@
 ///     k * RuntimeConfig::RemoteStealPatience consecutive failed rounds,
 ///     so when new work appears on a node that node's own vprocs claim
 ///     it before the (far more numerous) remote thieves converge on it.
-///     RuntimeConfig::LocalStealFirst=false restores the uniform-random
-///     victim of the ablation baseline.
 ///
 ///   * Steals are *batched*: the victim hands over the oldest ceil(k/2)
 ///     tasks and promotes all of their environments in one handshake, so
-///     one mailbox round trip amortizes several promotions. Under
-///     RuntimeConfig::StealHalf (the default) the ceil(k/2) transfer is
-///     unbounded -- the handshake moves it in mailbox-sized chunks
-///     (StealBatch tasks each), so one handshake can drain half of an
-///     arbitrarily deep queue; StealHalf=false restores the fixed
-///     per-handshake StealBatch cap as the ablation baseline.
+///     one mailbox round trip amortizes several promotions. The
+///     ceil(k/2) transfer is unbounded -- the handshake moves it in
+///     mailbox-sized chunks (StealBatch tasks each), so one handshake
+///     can drain half of an arbitrarily deep queue.
 ///
 ///   * Load balancing is *two-sided*. Stealing is the pull side; the
 ///     push side is victim-initiated shedding: a vproc whose queue depth
@@ -48,13 +44,12 @@
 ///     then rebalances only at remote-steal patience, exactly the gap
 ///     shedding closes.
 ///
-///   * The remote-steal patience itself is *adaptive* (default;
-///     RuntimeConfig::AdaptivePatience=false restores the fixed
-///     threshold): each thief keeps a per-vproc patience value, seeded
-///     from RemoteStealPatience, and over windows of steal rounds halves
-///     it when almost every round comes back empty (reach farther,
-///     sooner) or doubles it when steals are reliably succeeding (stay
-///     near home), clamped to [RemoteStealPatienceMin, Max].
+///   * The remote-steal patience itself is *adaptive*: each thief keeps
+///     a per-vproc patience value, seeded from RemoteStealPatience, and
+///     over windows of steal rounds halves it when almost every round
+///     comes back empty (reach farther, sooner) or doubles it when
+///     steals are reliably succeeding (stay near home), clamped to
+///     [8, 512] rounds.
 ///
 ///   * Idle vprocs descend a spin -> yield -> park ladder instead of
 ///     hammering victim mailboxes. The park rung is a *doorbell wait* in
@@ -79,8 +74,6 @@
 /// sizes, failed rounds, park time, and doorbell traffic (rings sent /
 /// wasted, ring-to-wake latency); stolen-environment bytes are charged
 /// to the TrafficMatrix under (victim node -> thief node).
-/// RuntimeConfig::UseDoorbells = false restores the blind bounded-sleep
-/// ladder everywhere (the parking ablation baseline).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,28 +102,17 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Effective chunk size (config clamped to [1, StealRequest::MaxBatch]);
-  /// with StealHalf off it is also the whole-handshake cap.
+  /// Effective chunk size (config clamped to [1, StealRequest::MaxBatch]).
   unsigned stealBatchLimit() const { return StealBatch; }
-  bool localStealFirst() const { return LocalStealFirst; }
-  /// True when blocking sites use ParkLot doorbells (false = the blind
-  /// bounded-sleep ablation baseline).
-  bool doorbells() const { return UseDoorbells; }
-  /// True when one handshake may move ceil(k/2) tasks in chunks (false =
-  /// the fixed per-handshake StealBatch cap, the ablation baseline).
-  bool stealHalf() const { return StealHalf; }
   /// Queue depth at which a spawning vproc tries to shed (0 = the push
   /// side is disabled, the ablation baseline).
   unsigned shedThreshold() const { return ShedThreshold; }
-  /// True when the remote-steal patience adapts to the observed steal
-  /// success rate.
-  bool adaptivePatience() const { return Adaptive; }
-  /// \p VProcId's current remote-steal patience (the fixed config value
-  /// unless AdaptivePatience moved it). Like the rest of the backoff
-  /// state this is owner-thread data: call it from the thread driving
-  /// that vproc (tests) or while the vprocs are quiescent.
+  /// \p VProcId's current remote-steal patience (seeded from the config
+  /// value, then adapted). Like the rest of the backoff state this is
+  /// owner-thread data: call it from the thread driving that vproc
+  /// (tests) or while the vprocs are quiescent.
   unsigned patienceOf(unsigned VProcId) const {
-    return Adaptive ? Backoff[VProcId].Patience : RemotePatience;
+    return Backoff[VProcId].Patience;
   }
 
   /// \p Thief's victim probe order: tiers of vproc ids, tier 0 holding
@@ -143,8 +125,7 @@ public:
 
   /// Picks the victim a steal round would probe first: the first loaded
   /// vproc in proximity order, subject to the thief's current
-  /// remote-steal tier limit (nullptr when nothing reachable is loaded),
-  /// or a uniform-random other vproc when LocalStealFirst is off.
+  /// remote-steal tier limit (nullptr when nothing reachable is loaded).
   /// Exposed for tests; stealAndRun walks the same tiers under the same
   /// limit (it merely keeps probing past a contended victim).
   VProc *pickVictim(VProc &Thief);
@@ -168,9 +149,9 @@ public:
   /// Victim side: continues an in-flight chunked transfer (sending the
   /// next chunk once the thief has acked the last) or answers \p
   /// Victim's pending steal request, popping and promoting a batch --
-  /// the first chunk of up to ceil(k/2) tasks under steal-half, with
-  /// the rest parked as an ActiveSteal continuation for later polls
-  /// (the victim never blocks mid-transfer). Runs on the victim's own
+  /// the first chunk of up to ceil(k/2) tasks, with the rest parked as
+  /// an ActiveSteal continuation for later polls (the victim never
+  /// blocks mid-transfer). Runs on the victim's own
   /// thread (a local heap may only be copied from by its owner): from
   /// its polls, and from its allocation slow path after a steal signal
   /// (the runtime's steal hook), so it may run in the middle of any
@@ -219,9 +200,9 @@ public:
                bool RecordStats = true);
 
   /// Rings \p Node's doorbell on \p Ringer's behalf (stats accounting),
-  /// skipping the futex when nobody is parked there. No-op in the
-  /// ladder-baseline mode.
-  void ringNode(VProc &Ringer, NodeId Node);
+  /// skipping the futex when nobody is parked there. \returns true when
+  /// a waiter was present.
+  bool ringNode(VProc &Ringer, NodeId Node);
 
   //===--------------------------------------------------------------------===//
   // Load board and victim-initiated shedding
@@ -320,13 +301,9 @@ private:
   /// Exponential park bound for ladder position \p Step.
   static unsigned parkMicrosFor(unsigned Step);
 
-  /// Stats-counted ring of \p Node: skips the futex when nobody is
-  /// parked there. \returns true when a waiter was present.
-  bool tryRing(VProc &Ringer, NodeId Node);
-
   /// One adaptive-patience sample (owner thread): account the round,
   /// and at each window boundary halve or double the patience from the
-  /// window's steal success rate, clamped to [PatienceMin, PatienceMax].
+  /// window's steal success rate, clamped to [8, 512].
   void notePatienceSample(VProc &VP, bool Success);
 
   /// Each vproc's owner thread updates its own entry every idle round;
@@ -343,13 +320,7 @@ private:
   Runtime &RT;
   ParkLot &Lot;
   unsigned StealBatch;
-  bool LocalStealFirst;
-  bool UseDoorbells;
-  bool StealHalf;
   unsigned RemotePatience;
-  bool Adaptive;
-  unsigned PatienceMin;
-  unsigned PatienceMax;
   unsigned ShedThreshold;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;

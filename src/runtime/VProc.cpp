@@ -161,10 +161,8 @@ void JoinCounter::sub(int64_t N) {
   if (!W)
     return;
   Scheduler &Sched = W->runtime().scheduler();
-  if (!Sched.doorbells())
-    return;
   // Ring-site fence discipline (pairs with doorbellPark's fence, see
-  // tryRing): the completion was published by the fetch_sub above; the
+  // ringNode): the completion was published by the fetch_sub above; the
   // fence orders it before the waiter-count load, so a joiner parking
   // concurrently either sees done() in its pre-park re-check or its
   // prepare() is visible here and the ring lands. No stats bump: the

@@ -72,10 +72,9 @@ class Scheduler;
 /// request object for the steals *it* initiates, so a request carries a
 /// whole batch: the victim hands over the oldest ceil(k/2) tasks and
 /// promotes their environments in one go, amortizing the handshake and
-/// the promotion pauses. Under RuntimeConfig::StealHalf the ceil(k/2)
-/// transfer is *unbounded*: one handshake moves it in mailbox-sized
-/// chunks (see step 4); the fixed-batch baseline caps the whole transfer
-/// at RuntimeConfig::StealBatch in a single chunk.
+/// the promotion pauses. The ceil(k/2) transfer is *unbounded*: one
+/// handshake moves it in mailbox-sized chunks of at most
+/// RuntimeConfig::StealBatch tasks (see step 4).
 ///
 /// Memory ordering of the handshake (the full release/acquire story; the
 /// regression test SchedulerTest.HandshakeHammer exercises it under

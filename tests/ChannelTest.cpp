@@ -449,39 +449,6 @@ TEST(Channel, SelectRecvParksUntilLateSender) {
   EXPECT_EQ(B.pendingRecvs(), 0u);
 }
 
-TEST(Channel, LadderBaselineChannelsStillWork) {
-  // UseDoorbells=false: channel blocking falls back to the blind
-  // bounded-sleep ladder (the ablation baseline) -- slower, still
-  // correct.
-  RuntimeConfig Cfg = chanConfig(2);
-  Cfg.UseDoorbells = false;
-  Runtime RT(Cfg, Topology::uniform(2, 1));
-  Channel Chan(RT);
-  static ChanCtx Ctx;
-  Ctx.Chan = &Chan;
-  Ctx.Received = 0;
-  Ctx.Done = 0;
-  Ctx.Messages = 10;
-
-  RT.run(
-      [](Runtime &, VProc &VP, void *CtxP) {
-        auto *Ctx = static_cast<ChanCtx *>(CtxP);
-        VP.spawn({receiverTask, Ctx, Value::nil(), 0, 0});
-        for (int I = 0; I < Ctx->Messages; ++I) {
-          RootScope Scope(VP.heap());
-          Ref<> Msg = Scope.root(makeIntList(VP.heap(), 8));
-          Ctx->Chan->send(VP, Msg);
-        }
-        while (Ctx->Done.load() == 0)
-          VP.poll();
-      },
-      &Ctx);
-
-  EXPECT_EQ(Ctx.Received.load(), 10 * intListSum(8));
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.RingsSent, 0u);
-}
-
 TEST(Channel, ManyMessagesManyCollections) {
   RuntimeConfig Cfg = chanConfig(3);
   Cfg.GC.GlobalGCBytesPerVProc = 256 * 1024;

@@ -122,7 +122,7 @@ TEST(GCReportTest, MentionsEveryPhase) {
   TW.World.requestGlobalGC();
   H.safePoint();
 
-  std::string Report = gcReportString(TW.World);
+  std::string Report = buildGCReport(TW.World).human();
   for (const char *Needle :
        {"minor", "major", "promotion", "global", "allocation",
         "inter-node traffic", "uniform", "local"})
@@ -135,6 +135,6 @@ TEST(GCReportTest, ReportsPolicyName) {
   GCConfig Cfg = smallConfig();
   Cfg.Policy = AllocPolicyKind::Interleaved;
   TestWorld TW(1, Cfg);
-  EXPECT_NE(gcReportString(TW.World).find("interleaved"),
+  EXPECT_NE(buildGCReport(TW.World).human().find("interleaved"),
             std::string::npos);
 }

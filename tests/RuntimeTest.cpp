@@ -7,11 +7,13 @@
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
 #include "runtime/Parallel.h"
+#include "runtime/ParkLot.h"
 #include "runtime/Runtime.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -52,6 +54,25 @@ TEST(Runtime, VProcsAssignedSparsely) {
   // 4 vprocs on 4 nodes: one per node.
   for (unsigned I = 0; I < 4; ++I)
     EXPECT_EQ(RT.vproc(I).node(), I);
+}
+
+TEST(Runtime, GlobalGCWakeupRingsParkedVProcs) {
+  // The runtime wires the collector's wakeup hook to the ParkLot
+  // broadcast: a global-GC trigger must end every doorbell park at once
+  // instead of leaving parked vprocs to sleep out their backstops.
+  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
+  ParkLot &Lot = RT.parkLot();
+  std::vector<ParkLot::Token> Tokens;
+  for (NodeId N = 0; N < Lot.numNodes(); ++N)
+    Tokens.push_back(Lot.prepare(N));
+  RT.world().notifyWakeupHook();
+  for (NodeId N = 0; N < Lot.numNodes(); ++N) {
+    auto Start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(Lot.park(N, Tokens[N], std::chrono::seconds(1)))
+        << "node " << N << " must be rung by the GC wakeup hook";
+    EXPECT_LT(std::chrono::steady_clock::now() - Start,
+              std::chrono::milliseconds(500));
+  }
 }
 
 TEST(ParallelFor, CoversRangeExactlyOnce) {

@@ -2,8 +2,8 @@
 //
 // Part of the manticore-gc project.
 //
-// Covers the Scheduler subsystem: proximity-tier victim ordering, the
-// LocalStealFirst ablation knob, steal batching, the cross-thread queue
+// Covers the Scheduler subsystem: proximity-tier victim ordering, steal
+// batching, the cross-thread queue
 // depth counter, the idle ladder's park accounting, the ParkLot
 // doorbells (node-exact rings, broadcast, and the ring-vs-park race),
 // spawn affinity routing, steals through the real fork-join entry
@@ -124,30 +124,6 @@ TEST(Scheduler, LoadedSameNodeVictimPreferred) {
   }
 }
 
-TEST(Scheduler, UniformRandomRestoredByLocalStealFirstOff) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.LocalStealFirst = false;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_FALSE(Sched.localStealFirst());
-
-  // Same load pattern as above; uniform-random selection is load-blind,
-  // so every other vproc must eventually be picked.
-  for (int I = 0; I < 4; ++I) {
-    RT.vproc(4).spawn(trivialTask());
-    RT.vproc(1).spawn(trivialTask());
-  }
-  std::set<unsigned> Picked;
-  for (int Trial = 0; Trial < 700; ++Trial) {
-    VProc *Victim = Sched.pickVictim(RT.vproc(0));
-    ASSERT_NE(Victim, nullptr);
-    ASSERT_NE(Victim->id(), 0u);
-    Picked.insert(Victim->id());
-  }
-  EXPECT_EQ(Picked.size(), 7u)
-      << "uniform-random selection must spread over all other vprocs";
-}
-
 TEST(Scheduler, RemoteStealPatienceGatesFartherTiers) {
   RuntimeConfig Cfg = testRuntimeConfig(8);
   Cfg.RemoteStealPatience = 3;
@@ -217,9 +193,6 @@ TEST(Scheduler, QueueDepthReadableFromOtherThreads) {
 TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.StealBatch = 1;
-  // This test pins the PR 2 fixed-batch baseline: with steal-half a
-  // single handshake would legitimately move several chunks of one.
-  Cfg.StealHalf = false;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   static std::atomic<int> Remaining;
   Remaining = 60;
@@ -235,18 +208,17 @@ TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
       },
       nullptr);
   SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.TasksStolen, S.StealBatches)
-      << "StealBatch=1 must hand over exactly one task per handshake";
+  EXPECT_GT(S.StealChunks, 0u);
+  EXPECT_EQ(S.TasksStolen, S.StealChunks)
+      << "StealBatch=1 must hand over exactly one task per mailbox chunk";
   EXPECT_EQ(S.TasksServiced, S.TasksStolen);
 }
 
 TEST(Scheduler, BatchesRespectTheConfiguredCap) {
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.StealBatch = 3;
-  // Fixed-batch baseline: StealBatch caps the whole handshake (under
-  // steal-half it is only the chunk size). Shedding off so every
-  // migration goes through the capped handshake under test.
-  Cfg.StealHalf = false;
+  // Shedding off so every migration goes through the chunked handshake
+  // under test.
   Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   EXPECT_EQ(RT.scheduler().stealBatchLimit(), 3u);
@@ -265,8 +237,8 @@ TEST(Scheduler, BatchesRespectTheConfiguredCap) {
       nullptr);
   SchedStats S = RT.aggregateSchedStats();
   EXPECT_GT(S.StealBatches, 0u);
-  EXPECT_LE(S.TasksStolen, S.StealBatches * 3)
-      << "no handshake may exceed the StealBatch cap";
+  EXPECT_LE(S.TasksStolen, S.StealChunks * 3)
+      << "no mailbox chunk may exceed the StealBatch cap";
   EXPECT_GT(S.meanStealBatch(), 1.0)
       << "a deep victim queue must yield multi-task batches";
 }
@@ -392,7 +364,11 @@ TEST(Scheduler, SpawnRingsDoorbellsAndWorkCompletes) {
   RT.run(
       [](Runtime &RT2, VProc &VP, void *) {
         // Let a worker descend to the park rung first, so the spawn
-        // rings below have a parked vproc to wake.
+        // rings below have a parked vproc to wake. The settle sleep comes
+        // first: a worker still parked in the between-runs drain loop
+        // (which records no stats) would satisfy the wait below, and the
+        // spawns could then finish before any in-run park is counted.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
         while (RT2.parkLot().parkedOn(0) == 0 &&
                RT2.parkLot().parkedOn(1) == 0)
           std::this_thread::yield();
@@ -412,29 +388,6 @@ TEST(Scheduler, SpawnRingsDoorbellsAndWorkCompletes) {
   SchedStats S = RT.aggregateSchedStats();
   EXPECT_GT(S.RingsSent, 0u) << "every spawn attempts a doorbell ring";
   EXPECT_GT(S.Parks, 0u);
-}
-
-TEST(Scheduler, LadderBaselineDisablesRings) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.UseDoorbells = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  EXPECT_FALSE(RT.scheduler().doorbells());
-  static std::atomic<int64_t> Sum;
-  Sum = 0;
-  RT.run(
-      [](Runtime &RT, VProc &VP, void *) {
-        parallelFor(
-            RT, VP, 0, 512, 4,
-            [](Runtime &, VProc &, int64_t Lo, int64_t Hi, void *) {
-              Sum.fetch_add(Hi - Lo);
-            },
-            nullptr);
-      },
-      nullptr);
-  EXPECT_EQ(Sum.load(), 512);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.RingsSent, 0u) << "the ladder baseline never rings";
-  EXPECT_EQ(S.RingWakeups, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -662,7 +615,6 @@ TEST(Rebalance, StealHalfDrainsDeepQueueInChunks) {
   Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
   Runtime RT(Cfg, Topology::uniform(2, 2));
   ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
-  ASSERT_TRUE(RT.scheduler().stealHalf());
 
   constexpr unsigned Deep = 40;
   for (unsigned I = 0; I < Deep; ++I)
@@ -679,21 +631,6 @@ TEST(Rebalance, StealHalfDrainsDeepQueueInChunks) {
   EXPECT_EQ(RT.vproc(2).queueDepth(), Deep - S.TasksStolen);
   // One stolen task ran, the rest landed on the thief's queue.
   EXPECT_EQ(RT.vproc(0).queueDepth(), S.TasksStolen - 1);
-}
-
-TEST(Rebalance, FixedBatchBaselineCapsTheHandshake) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.StealHalf = false;
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  for (unsigned I = 0; I < 40; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.TasksStolen, 4u);
-  EXPECT_EQ(S.StealChunks, 1u);
-  EXPECT_EQ(S.StealBatches, 1u);
 }
 
 TEST(Rebalance, LoadBoardAggregatesPerNodeDepth) {
@@ -846,54 +783,35 @@ TEST(Rebalance, StarvedNodePickOnAmdTopology) {
 TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
   RuntimeConfig Cfg = testRuntimeConfig(8);
   Cfg.RemoteStealPatience = 16;
-  Cfg.RemoteStealPatienceMin = 4;
-  Cfg.RemoteStealPatienceMax = 64;
-  Cfg.AdaptivePatience = true;
   Runtime RT(Cfg, Topology::uniform(4, 2));
   Scheduler &Sched = RT.scheduler();
-  ASSERT_TRUE(Sched.adaptivePatience());
   VProc &Thief = RT.vproc(0);
   EXPECT_EQ(Sched.patienceOf(0), 16u);
 
   // A dry world: every round fails, so windows keep halving the
-  // patience until it pins at the lower bound -- never below.
+  // patience until it pins at the lower bound (8) -- never below.
   for (int I = 0; I < 400; ++I) {
     EXPECT_FALSE(Sched.stealAndRun(Thief));
-    EXPECT_GE(Sched.patienceOf(0), 4u);
-    EXPECT_LE(Sched.patienceOf(0), 64u);
+    EXPECT_GE(Sched.patienceOf(0), 8u);
+    EXPECT_LE(Sched.patienceOf(0), 512u);
   }
-  EXPECT_EQ(Sched.patienceOf(0), 4u) << "dry rounds must pin at Min";
+  EXPECT_EQ(Sched.patienceOf(0), 8u) << "dry rounds must pin at the minimum";
   SchedStats S = Thief.schedStats();
   EXPECT_GT(S.PatienceDrops, 0u);
   EXPECT_EQ(S.PatienceRaises, 0u);
 
   // A fed neighborhood: vproc 4 (same node) always has work, so every
-  // round succeeds and the patience doubles up to -- never past -- Max.
+  // round succeeds and the patience doubles up to -- never past -- the
+  // upper bound (512).
   for (int I = 0; I < 400; ++I) {
     RT.vproc(4).spawn(trivialTask());
     EXPECT_TRUE(Sched.stealAndRun(Thief));
-    EXPECT_LE(Sched.patienceOf(0), 64u);
+    EXPECT_LE(Sched.patienceOf(0), 512u);
     while (Thief.runOneLocal())
       ;
   }
-  EXPECT_EQ(Sched.patienceOf(0), 64u) << "fed rounds must pin at Max";
+  EXPECT_EQ(Sched.patienceOf(0), 512u) << "fed rounds must pin at the maximum";
   EXPECT_GT(Thief.schedStats().PatienceRaises, 0u);
-}
-
-TEST(Rebalance, FixedPatienceBaselineNeverAdapts) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 16;
-  Cfg.AdaptivePatience = false;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_FALSE(Sched.adaptivePatience());
-  for (int I = 0; I < 200; ++I) {
-    Sched.stealAndRun(RT.vproc(0));
-    EXPECT_EQ(Sched.patienceOf(0), 16u);
-  }
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
 }
 
 TEST(Rebalance, ShedBatchFlowsToStarvedNode) {
@@ -972,45 +890,6 @@ TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
   EXPECT_EQ(Rescuer.schedStats().ShedTasksClaimed, 4u);
   while (Rescuer.runOneLocal())
     ;
-}
-
-TEST(Rebalance, BaselineKnobsRestorePriorStatsShape) {
-  // ShedThreshold=0 + AdaptivePatience=false + StealHalf=false is the
-  // PR 4 scheduler: every new counter must stay at zero (and chunks
-  // must degenerate to one per handshake).
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 0;
-  Cfg.AdaptivePatience = false;
-  Cfg.StealHalf = false;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  static std::atomic<int> Remaining;
-  Remaining = 300;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int I = 0; I < 300; ++I) {
-          Join.add();
-          VP.spawn({[](Runtime &, VProc &, Task) {
-                      Remaining.fetch_sub(1);
-                      Join.sub();
-                    },
-                    &Join, Value::nil(), 0, 0});
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.TasksShed, 0u);
-  EXPECT_EQ(S.ShedBatches, 0u);
-  EXPECT_EQ(S.ShedEnvBytes, 0u);
-  EXPECT_EQ(S.ShedTargetMisses, 0u);
-  EXPECT_EQ(S.ShedClaims, 0u);
-  EXPECT_EQ(S.ShedTasksClaimed, 0u);
-  EXPECT_EQ(S.PatienceRaises, 0u);
-  EXPECT_EQ(S.PatienceDrops, 0u);
-  EXPECT_EQ(S.StealChunks, S.StealBatches)
-      << "fixed-batch handshakes are exactly one chunk each";
 }
 
 TEST(Rebalance, LoadBoardTeardownHammer) {
@@ -1115,7 +994,8 @@ TEST(Scheduler, ReportRendersSchedulerSection) {
             nullptr);
       },
       nullptr);
-  std::string Report = gcReportString(RT.world(), RT.aggregateSchedStats());
+  std::string Report =
+      buildGCReport(RT.world(), RT.aggregateSchedStats()).human();
   EXPECT_NE(Report.find("scheduler:"), std::string::npos);
   EXPECT_NE(Report.find("node-local"), std::string::npos);
   EXPECT_NE(Report.find("parked"), std::string::npos);
