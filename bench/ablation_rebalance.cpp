@@ -218,18 +218,17 @@ void printRow(benchutil::JsonReport &Json, const char *Machine,
                {"shed_claimed", static_cast<double>(S.ShedTasksClaimed)},
                {"tasks_stolen", static_cast<double>(S.TasksStolen)},
                {"mean_batch", S.meanStealBatch()},
-               {"chunks_per_handshake", S.meanStealChunks()},
                {"failed_rounds", static_cast<double>(S.FailedStealRounds)},
                {"patience_drops", static_cast<double>(S.PatienceDrops)},
                {"patience_raises", static_cast<double>(S.PatienceRaises)}});
   std::printf("%-8s %-7s %-8s %8d %8.3f %8.1f %6llu %6llu %7llu %6.2f "
-              "%5.2f %7llu\n",
+              "%7llu\n",
               Machine, Workload, Rebalance, Ops, R.Seconds,
               static_cast<double>(S.ParkNanos) / 1e6,
               static_cast<unsigned long long>(S.TasksShed),
               static_cast<unsigned long long>(S.ShedTasksClaimed),
               static_cast<unsigned long long>(S.TasksStolen),
-              S.meanStealBatch(), S.meanStealChunks(),
+              S.meanStealBatch(),
               static_cast<unsigned long long>(S.FailedStealRounds));
 }
 
@@ -256,9 +255,9 @@ int main(int argc, char **argv) {
               "(park-ms: shed must undercut no-shed);\n"
               "phased: phase-imbalanced parallelFor, one heavy "
               "node-block per phase\n\n");
-  std::printf("%-8s %-7s %-8s %8s %8s %8s %6s %6s %7s %6s %5s %7s\n",
+  std::printf("%-8s %-7s %-8s %8s %8s %8s %6s %6s %7s %6s %7s\n",
               "machine", "work", "rebal", "ops", "seconds", "park-ms",
-              "shed", "claim", "stolen", "avg/b", "chk/h", "failed");
+              "shed", "claim", "stolen", "avg/b", "failed");
 
   struct MachineDef {
     const char *Name;
@@ -327,8 +326,6 @@ int main(int argc, char **argv) {
       "after k * patience empty-handed rounds per proximity tier, every\n"
       "one of them spent deeper in the park ladder; the shed path hands\n"
       "a promoted batch to the most-starved parked node at spawn time\n"
-      "and rings exactly one of its sleepers. The chk/h column is\n"
-      "chunks per steal handshake (> 1 = one handshake drained half of\n"
-      "a deep queue).\n");
+      "and rings exactly one of its sleepers.\n");
   return Json.write() ? 0 : 1;
 }

@@ -318,10 +318,6 @@ Report manti::buildGCReport(GCWorld &World, const SchedStats &Sched) {
       .metric("affinity_handoffs",
               static_cast<double>(Sched.AffinityHandoffs),
               Report::Unit::Count, "affinity-matched handoffs")
-      .metric("steal_chunks", static_cast<double>(Sched.StealChunks),
-              Report::Unit::Count, "steal-half chunks")
-      .metric("mean_steal_chunks", Sched.meanStealChunks(),
-              Report::Unit::Count, "mean chunks/handshake")
       .metric("tasks_shed", static_cast<double>(Sched.TasksShed),
               Report::Unit::Count, "tasks shed")
       .metric("shed_batches", static_cast<double>(Sched.ShedBatches),

@@ -656,17 +656,17 @@ public:
     TypedObjectIds.emplace(TypeKey, Id);
   }
 
+  /// Watermark summation stride (corobase's WATERMARK): a vproc re-sums
+  /// everyone's allocation counters only once per this many bytes of its
+  /// own global allocation.
+  static constexpr uint64_t WatermarkStrideBytes = 64 * 1024;
+
 private:
   friend class VProcHeap;
   friend void globalGCParticipate(VProcHeap &H);
   friend bool concurrentMarkSome(VProcHeap &H, unsigned Budget);
   friend class GlobalCollection;
   friend class ConcurrentMark;
-
-  /// Watermark summation stride (corobase's WATERMARK): a vproc re-sums
-  /// everyone's allocation counters only once per this many bytes of its
-  /// own global allocation.
-  static constexpr uint64_t WatermarkStrideBytes = 64 * 1024;
 
   GCConfig Config;
   Topology Topo;

@@ -72,23 +72,10 @@ struct RuntimeConfig {
   /// effort either way, and the constructing thread's original affinity
   /// is restored when the runtime is destroyed.
   bool PinThreads = true;
-  /// Mailbox chunk size for steal handshakes (clamped to
-  /// [1, StealRequest::MaxBatch]). One handshake moves the oldest
-  /// ceil(k/2) tasks of a deep queue, StealBatch tasks per chunk (each
-  /// chunk's environments promoted together).
-  unsigned StealBatch = 4;
-  /// Remote-steal throttle: a thief probes its own node every round,
-  /// but each farther proximity tier unlocks only after this many
-  /// consecutive failed rounds, so a node's own vprocs get first claim
-  /// on new work before remote thieves converge on it. Each thief's
-  /// patience starts here and adapts to its observed steal success rate
-  /// (see Scheduler). 0 unlocks every tier immediately and leaves
-  /// nothing to adapt.
-  unsigned RemoteStealPatience = 64;
   /// Victim-initiated shedding: when a vproc's queue depth reaches this
   /// at spawn time and some other node sits starved with parked vprocs,
   /// the spawner pushes a promoted, affinity-respecting batch of up to
-  /// min(ceil(depth/2), MaxShedBatch) tasks into that node's ParkLot
+  /// min(ceil(depth/2), MaxTaskBatch) tasks into that node's ParkLot
   /// shed bay and rings its doorbell, instead of leaving the imbalance
   /// to remote-steal patience. 0 disables the push side (ablation
   /// baseline).

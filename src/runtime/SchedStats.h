@@ -29,11 +29,9 @@ struct SchedStats {
   // Thief side: successful steal handshakes, classified by whether the
   // victim ran on the thief's NUMA node (Section 2.1: a cross-node steal
   // drags an environment -- and its subsequent promotions -- across the
-  // interconnect). A single handshake may carry several mailbox-sized
-  // chunks; StealChunks counts them.
+  // interconnect).
   uint64_t TasksStolen = 0;      ///< tasks received via steals
   uint64_t StealBatches = 0;     ///< successful handshakes
-  uint64_t StealChunks = 0;      ///< mailbox chunks across those handshakes
   uint64_t NodeLocalBatches = 0; ///< ... with a same-node victim
   uint64_t CrossNodeBatches = 0; ///< ... with a remote victim
 
@@ -90,14 +88,6 @@ struct SchedStats {
                         : 0.0;
   }
 
-  /// Mean mailbox chunks per successful steal handshake (> 1 means
-  /// steal-half drained deep queues).
-  double meanStealChunks() const {
-    return StealBatches ? static_cast<double>(StealChunks) /
-                              static_cast<double>(StealBatches)
-                        : 0.0;
-  }
-
   /// Mean ring-to-wake latency in microseconds (0 when nothing was ever
   /// woken by a ring).
   double meanRingWakeupMicros() const {
@@ -111,7 +101,6 @@ struct SchedStats {
     Spawns += O.Spawns;
     TasksStolen += O.TasksStolen;
     StealBatches += O.StealBatches;
-    StealChunks += O.StealChunks;
     NodeLocalBatches += O.NodeLocalBatches;
     CrossNodeBatches += O.CrossNodeBatches;
     TasksServiced += O.TasksServiced;

@@ -47,27 +47,25 @@ constexpr std::size_t RemoteRingDepth = 4;
 /// rounds.
 constexpr unsigned PatienceWindow = 32;
 
-/// Clamps for the adaptive patience: never reach remote tiers with less
-/// delay than PatienceMin rounds, never throttle them harder than
-/// PatienceMax.
+/// Remote-steal throttle: a thief probes its own node every round, but
+/// proximity tier k unlocks only after k * Patience consecutive failed
+/// rounds, so a node's own vprocs get first claim on new work before
+/// remote thieves converge on it. Each thief's patience starts at
+/// PatienceSeed and adapts within [PatienceMin, PatienceMax]: never
+/// reach remote tiers with less delay than PatienceMin rounds, never
+/// throttle them harder than PatienceMax.
+constexpr unsigned PatienceSeed = 64;
 constexpr unsigned PatienceMin = 8;
 constexpr unsigned PatienceMax = 512;
 
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
-    : RT(RT), Lot(RT.parkLot()),
-      StealBatch(std::clamp(RT.config().StealBatch, 1u,
-                            StealRequest::MaxBatch)),
-      RemotePatience(RT.config().RemoteStealPatience),
-      ShedThreshold(RT.config().ShedThreshold) {
+    : RT(RT), Lot(RT.parkLot()), ShedThreshold(RT.config().ShedThreshold) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
-  // Seed the adaptive patience from the fixed value (deliberately
-  // unclamped: the bounds govern where adaptation may *move* it, not
-  // where an explicit configuration may start it).
   for (BackoffState &B : Backoff)
-    B.Patience = RemotePatience;
+    B.Patience = PatienceSeed;
   Proximity.resize(N);
 
   // Group the other vprocs by the node-distance tiers the topology
@@ -108,17 +106,11 @@ Scheduler::Scheduler(Runtime &RT)
 }
 
 std::size_t Scheduler::tierLimit(const VProc &Thief) const {
-  if (RemotePatience == 0)
-    return Proximity[Thief.id()].size();
   const BackoffState &B = Backoff[Thief.id()];
   return 1 + static_cast<std::size_t>(B.FailedRounds / B.Patience);
 }
 
 void Scheduler::notePatienceSample(VProc &VP, bool Success) {
-  // Patience 0 means "no remote throttle at all"; there is nothing to
-  // scale.
-  if (RemotePatience == 0)
-    return;
   BackoffState &B = Backoff[VP.id()];
   ++B.WindowRounds;
   if (Success)
@@ -198,7 +190,7 @@ bool Scheduler::stealAndRun(VProc &Thief) {
   // over their victims. Only loaded victims are worth a handshake; a
   // failed attempt (mailbox contention, or the victim drained before
   // answering) falls through to the next candidate. Tier k is probed
-  // only once the thief has gone k * RemotePatience rounds empty-handed:
+  // only once the thief has gone k * Patience rounds empty-handed:
   // steals reach farther out the longer the whole neighborhood stays
   // dry, so a freshly loaded queue feeds its own node first.
   if (walkTiers(Thief, tierLimit(Thief), [&](VProc &Cand) {
@@ -236,78 +228,18 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
   ringNode(Thief, Victim.node());
 
   // Wait for the victim's answer; keep answering our own mailbox and
-  // joining pending collections so nothing deadlocks. With steal-half a
-  // single handshake delivers several mailbox chunks: each Filled chunk
-  // is consumed and acknowledged with Consumed (step 4 in VProc.h), and
-  // the loop keeps spinning for the next one until a chunk arrives with
-  // More == false.
-  unsigned Total = 0, Chunks = 0;
-  // Finishing stats, shared by the normal final chunk and the empty
-  // terminator of a truncated transfer.
-  auto FinishStats = [&] {
-    Thief.SStats.TasksStolen += Total;
-    ++Thief.SStats.StealBatches;
-    Thief.SStats.StealChunks += Chunks;
-    if (Victim.node() == Thief.node())
-      ++Thief.SStats.NodeLocalBatches;
-    else
-      ++Thief.SStats.CrossNodeBatches;
-    // Finishing a multi-task handshake leaves fresh work on this node's
-    // queue: ring it so parked peers help with the batch.
-    if (Total > 1)
-      ringNode(Thief, Thief.node());
-    MANTI_DEBUG("sched",
-                "vp%u stole %u task(s) in %u chunk(s) from vp%u "
-                "(%s-node)",
-                Thief.id(), Total, Chunks, Victim.id(),
-                Victim.node() == Thief.node() ? "same" : "cross");
-  };
+  // joining pending collections so nothing deadlocks.
   for (;;) {
     int S = Req.State.load(std::memory_order_acquire);
     if (S == StealRequest::Filled) {
       // The acquire above pairs with the victim's release store of
-      // Filled: the batch slots, Count, and More are visible (step 2).
+      // Filled: the batch slots and Count are visible (step 2).
       unsigned Count = Req.Count;
-      bool More = Req.More;
-      MANTI_CHECK(Count <= StealRequest::MaxBatch &&
-                      (Count >= 1 || (!More && Total >= 1)),
+      MANTI_CHECK(Count >= 1 && Count <= MaxTaskBatch,
                   "steal batch out of range");
-      if (Count == 0) {
-        // Empty terminator: the victim's queue drained between chunks.
-        // Everything we netted is already on our own queue; run from
-        // there (it may have been re-stolen meanwhile, in which case
-        // this round simply reports no task run).
-        Req.State.store(StealRequest::Idle, std::memory_order_release);
-        FinishStats();
-        return Thief.runOneLocal();
-      }
-      Total += Count;
-      ++Chunks;
-      if (More) {
-        // Mid-transfer chunk: everything goes on the local queue (the
-        // queue is scanned as roots, and this loop takes safe points
-        // while waiting for the next chunk -- a task held in a local
-        // here would go stale under a global collection). The release
-        // store pairs with the victim's acquire, ordering our
-        // consumption before its next chunk's writes. Straight-line
-        // from the Filled load to here -- no safe point with an
-        // unconsumed chunk in hand. The re-signal lets a victim that
-        // is running a task send the next chunk from its allocation
-        // slow path too.
-        for (unsigned I = 0; I < Count; ++I)
-          Thief.enqueueStolen(Req.Stolen[I]);
-        for (unsigned I = 0; I < Count; ++I)
-          Req.Stolen[I] = Task();
-        Req.Count = 0;
-        Req.State.store(StealRequest::Consumed,
-                        std::memory_order_release);
-        Victim.heap().signalSteal();
-        continue;
-      }
-      // Final (or only) chunk: run its oldest task directly -- no safe
-      // point between here and runTask's rooting -- and queue the rest
-      // (oldest first, so the local LIFO end still prefers the newest
-      // work).
+      // Run the oldest task directly -- no safe point between here and
+      // runTask's rooting -- and queue the rest (oldest first, so the
+      // local LIFO end still prefers the newest work).
       Task First = Req.Stolen[0];
       for (unsigned I = 1; I < Count; ++I)
         Thief.enqueueStolen(Req.Stolen[I]);
@@ -315,7 +247,19 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
         Req.Stolen[I] = Task();
       Req.Count = 0;
       Req.State.store(StealRequest::Idle, std::memory_order_release);
-      FinishStats();
+      Thief.SStats.TasksStolen += Count;
+      ++Thief.SStats.StealBatches;
+      if (Victim.node() == Thief.node())
+        ++Thief.SStats.NodeLocalBatches;
+      else
+        ++Thief.SStats.CrossNodeBatches;
+      // A multi-task batch leaves fresh work on this node's queue: ring
+      // it so parked peers help with the batch.
+      if (Count > 1)
+        ringNode(Thief, Thief.node());
+      MANTI_DEBUG("sched", "vp%u stole %u task(s) from vp%u (%s-node)",
+                  Thief.id(), Count, Victim.id(),
+                  Victim.node() == Thief.node() ? "same" : "cross");
       Thief.runTask(First);
       return true;
     }
@@ -331,84 +275,30 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
 }
 
 bool Scheduler::serviceSteal(VProc &Victim) {
-  // An in-flight chunked transfer always goes first: the thief is
-  // spinning for the next chunk, and nothing else may reuse the request
-  // slots until it arrives.
-  if (Victim.ActiveSteal)
-    return continueSteal(Victim);
   StealRequest *Req = Victim.Mailbox.load(std::memory_order_acquire);
   if (!Req)
     return false;
+  // The mailbox is cleared before the answer is published, so the thief
+  // (or another) may post again as soon as it sees Filled or Failed.
+  Victim.Mailbox.store(nullptr, std::memory_order_release);
   std::size_t K = Victim.ReadyQ.size();
   if (K == 0) {
-    Victim.Mailbox.store(nullptr, std::memory_order_release);
     Req->State.store(StealRequest::Failed, std::memory_order_release);
     return true;
   }
-  // Steal the oldest ceil(k/2) tasks: they are the largest units of
-  // pending work, and handing over several at once amortizes the
-  // handshake and the promotion pauses. The whole budget moves through
-  // the one handshake in StealBatch-sized chunks. The mailbox is cleared
-  // up front (release-published before the first Filled): during a long
-  // transfer other thieves may post fresh requests, which this vproc
-  // answers once the transfer is done.
-  std::size_t Budget = (K + 1) / 2;
-  Victim.Mailbox.store(nullptr, std::memory_order_release);
-  ++Victim.SStats.BatchesServiced;
-
-  sendStealChunk(Victim, Req, Budget);
-  if (Budget > 0) {
-    // More chunks promised: park the transfer as a continuation. The
-    // victim NEVER blocks waiting for the thief's Consumed ack -- in a
-    // ring of mutual steals, every party blocked in a victim-side wait
-    // would be waiting on a thief that is itself blocked in its own
-    // victim-side wait, a permanent cycle. Instead the next chunk goes
-    // out from a later poll (and the idle ladder refuses to park while
-    // a transfer is open, so the ack turnaround stays tight).
-    Victim.ActiveSteal = Req;
-    Victim.ActiveStealBudget = Budget;
-  }
-  return true;
-}
-
-bool Scheduler::continueSteal(VProc &Victim) {
-  StealRequest *Req = Victim.ActiveSteal;
-  // The acquire pairs with the thief's Consumed release store: its
-  // reads of the previous chunk happen-before our reuse of the slots.
-  if (Req->State.load(std::memory_order_acquire) != StealRequest::Consumed)
-    return false; // thief has not consumed the last chunk yet
-  std::size_t Budget = Victim.ActiveStealBudget;
-  sendStealChunk(Victim, Req, Budget);
-  Victim.ActiveStealBudget = Budget;
-  if (Budget == 0)
-    Victim.ActiveSteal = nullptr;
-  return true;
-}
-
-void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
-                               std::size_t &Budget) {
-  // The victim may have run -- or lost to other thieves -- part of its
-  // queue since the budget was set: re-bound by what is actually there.
-  unsigned Take = static_cast<unsigned>(std::min<std::size_t>(
-      std::min<std::size_t>(Budget, StealBatch), Victim.ReadyQ.size()));
-  if (Take == 0) {
-    // Queue drained mid-transfer: close the handshake with an empty
-    // terminator chunk (the first chunk of a handshake is never empty,
-    // so the thief always nets at least one task).
-    Req->Count = 0;
-    Req->More = false;
-    Budget = 0;
-    Req->State.store(StealRequest::Filled, std::memory_order_release);
-    return;
-  }
+  // Steal the oldest ceil(k/2) tasks, up to MaxTaskBatch: they are the
+  // largest units of pending work, and handing over several at once
+  // amortizes the handshake and the promotion pauses. Within the batch,
+  // tasks hinted at the thief's node go first (popForSteal) so hinted
+  // work chases its data.
+  unsigned Take = static_cast<unsigned>(
+      std::min<std::size_t>((K + 1) / 2, MaxTaskBatch));
   uint64_t PromotedBefore = Victim.Heap.Stats.PromoteBytes;
   // Tasks staged in Req->Stolen are rooted by nobody until the thief
   // sees Filled; this is safe because nothing between popForSteal() and
   // the Filled store below can collect -- promote() copies and at most
   // *requests* a global GC (which only runs at safe points, and the
-  // victim takes none inside this function). Within the budget, tasks
-  // hinted at the thief's node go first (popForSteal) so hinted work
-  // chases its data.
+  // victim takes none inside this function).
   unsigned AffinityMatches = 0;
   Take = Victim.popForSteal(Req->ThiefNode, Take, Req->Stolen,
                             &AffinityMatches);
@@ -422,16 +312,9 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
     }
   }
   uint64_t EnvBytes = Victim.Heap.Stats.PromoteBytes - PromotedBefore;
-  Budget -= Take;
-  // Truncate the transfer when a global collection goes pending: every
-  // chunk the victim still owes is one more spin-wait the thief must
-  // clear before it can sit at the collection's barrier for long.
-  bool More = Budget > 0 && !RT.world().rendezvousRequested();
-  if (!More)
-    Budget = 0;
   Req->Count = Take;
-  Req->More = More;
 
+  ++Victim.SStats.BatchesServiced;
   Victim.SStats.TasksServiced += Take;
   Victim.SStats.StolenEnvBytes += EnvBytes;
   Victim.SStats.AffinityHandoffs += AffinityMatches;
@@ -440,6 +323,7 @@ void Scheduler::sendStealChunk(VProc &Victim, StealRequest *Req,
 
   // Handshake step 2: plain writes above, then the release store.
   Req->State.store(StealRequest::Filled, std::memory_order_release);
+  return true;
 }
 
 std::size_t Scheduler::nodeDepth(NodeId Node) const {
@@ -482,8 +366,8 @@ bool Scheduler::maybeShed(VProc &VP) {
     return false;
   }
   unsigned Want = static_cast<unsigned>(std::min<std::size_t>(
-      (VP.queueDepth() + 1) / 2, MaxShedBatch));
-  Task Batch[MaxShedBatch];
+      (VP.queueDepth() + 1) / 2, MaxTaskBatch));
+  Task Batch[MaxTaskBatch];
   unsigned Got = VP.popForShed(Target, Want, Batch);
   if (Got == 0)
     return false;
@@ -521,8 +405,8 @@ bool Scheduler::maybeShed(VProc &VP) {
 bool Scheduler::claimShedFrom(VProc &VP, NodeId Node) {
   if (Lot.shedDepth(Node) == 0)
     return false;
-  Task Batch[StealRequest::MaxBatch];
-  unsigned Got = Lot.claimShed(Node, Batch, StealRequest::MaxBatch);
+  Task Batch[MaxTaskBatch];
+  unsigned Got = Lot.claimShed(Node, Batch, MaxTaskBatch);
   if (Got == 0)
     return false;
   // Queue the tail before running the head; no safe point between the
@@ -552,8 +436,7 @@ bool Scheduler::claimShedAndRun(VProc &VP) {
   // open up on the same terms as remote victims -- after one patience
   // of empty-handed rounds -- so the bay's own node still gets first
   // claim on its batches.
-  unsigned Patience = Backoff[VP.id()].Patience;
-  if (Patience != 0 && Backoff[VP.id()].FailedRounds < Patience)
+  if (Backoff[VP.id()].FailedRounds < Backoff[VP.id()].Patience)
     return false;
   for (NodeId N : NodeOrder[VP.node()])
     if (claimShedFrom(VP, N))
@@ -593,7 +476,7 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
       (Claimable && RT.schedulerActive() &&
        Lot.shedDepth(VP.node()) != 0) ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
+      RT.world().rendezvousRequested()) {
     Lot.cancel(VP.node(), T);
     std::this_thread::yield();
     return;
@@ -625,10 +508,9 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
     return; // spin rung: retry immediately, the caller's poll is the spin
   if (R <= SpinRounds + YieldRounds ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      VP.ActiveSteal != nullptr || RT.world().rendezvousRequested()) {
-    // Yield rung -- also taken instead of parking whenever a thief, an
-    // in-flight chunked transfer, or a pending collection needs a
-    // prompt answer.
+      RT.world().rendezvousRequested()) {
+    // Yield rung -- also taken instead of parking whenever a thief or a
+    // pending collection needs a prompt answer.
     std::this_thread::yield();
     return;
   }

@@ -17,17 +17,15 @@
 ///     promotion the stolen task performs later -- off the interconnect,
 ///     which is the paper's Section 2.1 locality argument applied to the
 ///     computation side. Farther tiers are *throttled*: a thief probes
-///     tier 0 every round, but tier k unlocks only after
-///     k * RuntimeConfig::RemoteStealPatience consecutive failed rounds,
-///     so when new work appears on a node that node's own vprocs claim
-///     it before the (far more numerous) remote thieves converge on it.
+///     tier 0 every round, but tier k unlocks only after k * patience
+///     consecutive failed rounds, so when new work appears on a node
+///     that node's own vprocs claim it before the (far more numerous)
+///     remote thieves converge on it.
 ///
-///   * Steals are *batched*: the victim hands over the oldest ceil(k/2)
-///     tasks and promotes all of their environments in one handshake, so
-///     one mailbox round trip amortizes several promotions. The
-///     ceil(k/2) transfer is unbounded -- the handshake moves it in
-///     mailbox-sized chunks (StealBatch tasks each), so one handshake
-///     can drain half of an arbitrarily deep queue.
+///   * Steals are *batched*: the victim hands over the oldest
+///     min(ceil(k/2), MaxTaskBatch) tasks and promotes all of their
+///     environments in one answer, so one mailbox round trip amortizes
+///     several promotions.
 ///
 ///   * Load balancing is *two-sided*. Stealing is the pull side; the
 ///     push side is victim-initiated shedding: a vproc whose queue depth
@@ -45,11 +43,10 @@
 ///     shedding closes.
 ///
 ///   * The remote-steal patience itself is *adaptive*: each thief keeps
-///     a per-vproc patience value, seeded from RemoteStealPatience, and
-///     over windows of steal rounds halves it when almost every round
-///     comes back empty (reach farther, sooner) or doubles it when
-///     steals are reliably succeeding (stay near home), clamped to
-///     [8, 512] rounds.
+///     a per-vproc patience value, seeded at 64 rounds, and over windows
+///     of steal rounds halves it when almost every round comes back
+///     empty (reach farther, sooner) or doubles it when steals are
+///     reliably succeeding (stay near home), clamped to [8, 512] rounds.
 ///
 ///   * Idle vprocs descend a spin -> yield -> park ladder instead of
 ///     hammering victim mailboxes. The park rung is a *doorbell wait* in
@@ -102,13 +99,11 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Effective chunk size (config clamped to [1, StealRequest::MaxBatch]).
-  unsigned stealBatchLimit() const { return StealBatch; }
   /// Queue depth at which a spawning vproc tries to shed (0 = the push
   /// side is disabled, the ablation baseline).
   unsigned shedThreshold() const { return ShedThreshold; }
-  /// \p VProcId's current remote-steal patience (seeded from the config
-  /// value, then adapted). Like the rest of the backoff state this is
+  /// \p VProcId's current remote-steal patience (seeded at 64 rounds,
+  /// then adapted). Like the rest of the backoff state this is
   /// owner-thread data: call it from the thread driving that vproc
   /// (tests) or while the vprocs are quiescent.
   unsigned patienceOf(unsigned VProcId) const {
@@ -146,20 +141,16 @@ public:
   /// locally). \returns true if a task was executed.
   bool stealAndRun(VProc &Thief);
 
-  /// Victim side: continues an in-flight chunked transfer (sending the
-  /// next chunk once the thief has acked the last) or answers \p
-  /// Victim's pending steal request, popping and promoting a batch --
-  /// the first chunk of up to ceil(k/2) tasks, with the rest parked as
-  /// an ActiveSteal continuation for later polls (the victim never
-  /// blocks mid-transfer). Runs on the victim's own
-  /// thread (a local heap may only be copied from by its owner): from
-  /// its polls, and from its allocation slow path after a steal signal
-  /// (the runtime's steal hook), so it may run in the middle of any
-  /// task. It never allocates locally -- promotion copies into the
-  /// global heap -- so the slow-path hook cannot re-enter it, and no
-  /// owner-side code holds a ready-queue reference across an allocation.
-  /// \returns true if progress was made (a chunk sent, or a request
-  /// answered -- successfully or not).
+  /// Victim side: answers \p Victim's pending steal request, popping and
+  /// promoting a batch of min(ceil(k/2), MaxTaskBatch) tasks. Runs on
+  /// the victim's own thread (a local heap may only be copied from by
+  /// its owner): from its polls, and from its allocation slow path after
+  /// a steal signal (the runtime's steal hook), so it may run in the
+  /// middle of any task. It never allocates locally -- promotion copies
+  /// into the global heap -- so the slow-path hook cannot re-enter it,
+  /// and no owner-side code holds a ready-queue reference across an
+  /// allocation.
+  /// \returns true if a request was answered (successfully or not).
   bool serviceSteal(VProc &Victim);
 
   /// One step of the idle ladder for \p VP: spin, then yield, then park
@@ -228,7 +219,7 @@ public:
 
   /// Victim-initiated shedding, called by VProc::spawn after every push:
   /// when \p VP's queue depth has reached ShedThreshold and a starved
-  /// parked node exists, pops up to min(ceil(depth/2), MaxShedBatch)
+  /// parked node exists, pops up to min(ceil(depth/2), MaxTaskBatch)
   /// tasks (affinity-respecting, see VProc::popForShed), promotes their
   /// environments, publishes them in the target's shed bay, and rings
   /// the target's doorbell -- publish before ring, like every other ring
@@ -259,24 +250,12 @@ private:
   /// \returns true if a batch arrived and its first task was run.
   bool attemptSteal(VProc &Thief, VProc &Victim);
 
-  /// Sends the next chunk of \p Victim's ActiveSteal transfer if the
-  /// thief has acked the previous one. \returns true when a chunk went
-  /// out.
-  bool continueSteal(VProc &Victim);
-
-  /// Pops, promotes, and publishes one mailbox chunk of at most
-  /// min(\p Budget, StealBatch, queue depth) tasks on \p Req,
-  /// decrementing \p Budget (forced to 0 -- with an empty terminator
-  /// chunk if needed -- when the transfer must end).
-  void sendStealChunk(VProc &Victim, StealRequest *Req,
-                      std::size_t &Budget);
-
   /// Claims from node \p Node's bay on \p VP's behalf (\p VP runs the
   /// first task). \returns true if a task was executed.
   bool claimShedFrom(VProc &VP, NodeId Node);
 
   /// Highest proximity tier (exclusive) the thief may currently probe:
-  /// tier k unlocks after k * RemotePatience consecutive failed rounds.
+  /// tier k unlocks after k * patience consecutive failed rounds.
   std::size_t tierLimit(const VProc &Thief) const;
 
   /// Walks \p Thief's proximity tiers up to \p TierLimit, probing each
@@ -319,8 +298,6 @@ private:
 
   Runtime &RT;
   ParkLot &Lot;
-  unsigned StealBatch;
-  unsigned RemotePatience;
   unsigned ShedThreshold;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;

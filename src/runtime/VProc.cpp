@@ -101,12 +101,12 @@ unsigned popRanked(std::deque<Task> &Q, std::atomic<std::size_t> &Depth,
 unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
                             unsigned *AffinityMatches) {
   std::size_t K = ReadyQ.size();
-  MANTI_CHECK(K > 0 && Max > 0 && Max <= StealRequest::MaxBatch,
+  MANTI_CHECK(K > 0 && Max > 0 && Max <= MaxTaskBatch,
               "popForSteal needs a non-empty queue and a batch-sized Max");
   unsigned Take = static_cast<unsigned>(std::min<std::size_t>(Max, K));
   // Hinted-at-the-thief first, then unhinted, then hinted-elsewhere
   // (those would rather stay, but a starved thief still gets them).
-  return popRanked<StealRequest::MaxBatch, 3>(
+  return popRanked<MaxTaskBatch, 3>(
       ReadyQ, Depth, Take, Out,
       [ThiefNode](NodeId Hint) {
         return Hint == ThiefNode ? 0 : (Hint == Task::NoAffinity ? 1 : 2);
@@ -116,7 +116,7 @@ unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
 
 unsigned VProc::popForShed(NodeId TargetNode, unsigned Max, Task *Out) {
   std::size_t K = ReadyQ.size();
-  MANTI_CHECK(K > 0 && Max > 0 && Max <= MaxShedBatch,
+  MANTI_CHECK(K > 0 && Max > 0 && Max <= MaxTaskBatch,
               "popForShed needs a non-empty queue and a shed-sized Max");
   unsigned Take = static_cast<unsigned>(std::min<std::size_t>(Max, K));
   const NodeId Local = node();
@@ -126,7 +126,7 @@ unsigned VProc::popForShed(NodeId TargetNode, unsigned Max, Task *Out) {
   // locally-hinted task while an un-hinted one sits in the queue would
   // ship data-chasing work away from its data, so the class order
   // forbids it.
-  return popRanked<MaxShedBatch, 4>(
+  return popRanked<MaxTaskBatch, 4>(
       ReadyQ, Depth, Take, Out, [TargetNode, Local](NodeId Hint) {
         return Hint == TargetNode         ? 0
                : Hint == Task::NoAffinity ? 1

@@ -26,9 +26,7 @@
 ///     thief sets the victim's steal flag and zeroes its allocation
 ///     limit (VProcHeap::signalSteal, the limit-pointer signal a
 ///     collection request uses), so the victim's next allocation enters
-///     the slow path and answers through the runtime's steal hook. Each
-///     Consumed ack of a steal-half transfer re-signals, so later
-///     chunks go out the same way;
+///     the slow path and answers through the runtime's steal hook;
 ///   * every iteration of the scheduling loop (Scheduler::runUntil),
 ///     before it runs the next local task -- the loop both the worker
 ///     threads and joinWait run, so a spawner working through its own
@@ -68,13 +66,16 @@ namespace manti {
 class Runtime;
 class Scheduler;
 
+/// Hard cap on the tasks one transfer moves: a steal answer, a shed
+/// publication, and a shed claim. Sized so one shed can rebalance half
+/// of a queue twice the default RuntimeConfig::ShedThreshold.
+inline constexpr unsigned MaxTaskBatch = 16;
+
 /// One steal-handshake mailbox message. Each vproc owns exactly one
 /// request object for the steals *it* initiates, so a request carries a
-/// whole batch: the victim hands over the oldest ceil(k/2) tasks and
-/// promotes their environments in one go, amortizing the handshake and
-/// the promotion pauses. The ceil(k/2) transfer is *unbounded*: one
-/// handshake moves it in mailbox-sized chunks of at most
-/// RuntimeConfig::StealBatch tasks (see step 4).
+/// whole batch: the victim hands over the oldest min(ceil(k/2),
+/// MaxTaskBatch) tasks and promotes their environments in one answer,
+/// amortizing the handshake and the promotion pauses.
 ///
 /// Memory ordering of the handshake (the full release/acquire story; the
 /// regression test SchedulerTest.HandshakeHammer exercises it under
@@ -84,53 +85,22 @@ class Scheduler;
 ///     publishes the request with a CAS on the victim's Mailbox
 ///     (acq_rel). The victim's Mailbox load(acquire) therefore sees both
 ///     fields.
-///  2. The victim writes Stolen[0..Count), Count, and More as plain
-///     stores, clears the mailbox, and only then stores State=Filled
-///     (release). The thief spins on State with load(acquire); observing
-///     Filled forms a release/acquire edge, so every Stolen/Count/More
-///     write happens-before the thief's reads. No additional fence is
-///     needed: the State pair is the fence.
-///  3. The thief consumes the batch. If More is false the transfer is
-///     over: it stores State=Idle (release) so its plain clears of
-///     Stolen[] happen-before the *next* victim's reads, which are
-///     ordered after the next Mailbox CAS (step 1).
-///  4. If More is true (steal-half, mid-transfer) the thief instead
-///     stores State=Consumed (release). The victim NEVER blocks waiting
-///     for that ack -- it parks the transfer in its ActiveSteal
-///     continuation and sends the next chunk from a later poll, once its
-///     load(acquire) of Consumed orders the thief's consumption before
-///     the next chunk's plain Stolen[] writes; the protocol then repeats
-///     from step 2. (A blocking wait here could cycle: in a ring of
-///     mutual steals every party would be a victim waiting on a thief
-///     that is itself stuck in its own victim wait.) The thief keeps
-///     taking safe points between chunks, so a global collection
-///     requested mid-transfer cannot deadlock: the in-flight chunk is
-///     rooted by the thief's root enumeration (which scans
-///     Stolen[0..Count) whenever State == Filled), the not-yet-popped
-///     remainder by the victim's queue scan, and the victim truncates
-///     the transfer when a collection goes pending. Because the victim
-///     may run (or lose to other thieves) its own queue between chunks,
-///     a transfer can close with an *empty terminator* chunk
-///     (Count == 0, More == false) after a More == true promise; the
-///     first chunk of a handshake is never empty.
+///  2. The victim writes Stolen[0..Count) and Count as plain stores,
+///     clears the mailbox, and only then stores State=Filled (release).
+///     The thief spins on State with load(acquire); observing Filled
+///     forms a release/acquire edge, so every Stolen/Count write
+///     happens-before the thief's reads. No additional fence is needed:
+///     the State pair is the fence.
+///  3. The thief consumes the batch and stores State=Idle (release) so
+///     its plain clears of Stolen[] happen-before the *next* victim's
+///     reads, which are ordered after the next Mailbox CAS (step 1).
 struct StealRequest {
-  /// Hard cap on tasks per mailbox chunk (RuntimeConfig::StealBatch is
-  /// clamped to this).
-  static constexpr unsigned MaxBatch = 8;
-
-  enum StateKind : int { Idle, Posted, Filled, Failed, Consumed };
+  enum StateKind : int { Idle, Posted, Filled, Failed };
   std::atomic<int> State{Idle};
   NodeId ThiefNode = 0;      ///< written by the thief before posting
   unsigned Count = 0;        ///< valid when State == Filled
-  bool More = false;         ///< valid when State == Filled: another chunk
-                             ///< follows after the thief stores Consumed
-  Task Stolen[MaxBatch];     ///< valid when State == Filled; Envs promoted
+  Task Stolen[MaxTaskBatch]; ///< valid when State == Filled; Envs promoted
 };
-
-/// Hard cap on tasks per shed publication (the push-side analogue of
-/// StealRequest::MaxBatch; sized so one shed can rebalance half of a
-/// queue twice the default RuntimeConfig::ShedThreshold).
-inline constexpr unsigned MaxShedBatch = 16;
 
 class VProc {
 public:
@@ -263,14 +233,6 @@ private:
   std::atomic<std::size_t> Depth{0};   ///< ReadyQ.size(), cross-thread view
   std::atomic<StealRequest *> Mailbox{nullptr}; ///< posted by thieves
   StealRequest MyRequest;              ///< used when this vproc steals
-  /// Owner-only continuation of an in-flight chunked (steal-half)
-  /// transfer this vproc is servicing as the victim: the request whose
-  /// thief owes a Consumed ack, and the tasks still promised. The next
-  /// chunk goes out from serviceSteal at a later poll or allocation; the
-  /// idle ladder yields instead of parking while a transfer is open so
-  /// the thief is never left waiting on a park backstop.
-  StealRequest *ActiveSteal = nullptr;
-  std::size_t ActiveStealBudget = 0;
   std::vector<ResultCell *> Cells;     ///< live result cells we own
   XorShift64 Rng;
 

@@ -300,6 +300,32 @@ TEST(WorkStealing, ConcurrentMarkDuringParallelWork) {
               }
             },
             nullptr);
+        // The watermark is checked once per WatermarkStrideBytes of each
+        // vproc's own allocation, so evenly split work can finish below
+        // every vproc's next check. Promoting watermark + one stride
+        // through vproc 0 alone starts a cycle whatever the split was.
+        // A stop-the-world backstop collection resets the since-cycle
+        // counters, so the volume restarts after one.
+        GCWorld &W = RT.world();
+        auto StwCount = [&W] {
+          return W.globalGCCount() - W.concurrentGCCount();
+        };
+        const uint64_t Volume =
+            static_cast<uint64_t>(RT.config().GC.ConcurrentMarkWatermark *
+                                  static_cast<double>(
+                                      W.globalGCThresholdBytes())) +
+            GCWorld::WatermarkStrideBytes;
+        uint64_t Start = VP.heap().Stats.PromoteBytes;
+        uint64_t Stw = StwCount();
+        while (VP.heap().Stats.PromoteBytes - Start < Volume) {
+          RootScope Scope(VP.heap());
+          Ref<> L = Scope.root(makeIntList(VP.heap(), 60));
+          promoteInPlace(Scope, L);
+          if (StwCount() != Stw) {
+            Stw = StwCount();
+            Start = VP.heap().Stats.PromoteBytes;
+          }
+        }
       },
       nullptr);
   EXPECT_EQ(Total.load(), 300 * intListSum(10));

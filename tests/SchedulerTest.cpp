@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -124,44 +125,34 @@ TEST(Scheduler, LoadedSameNodeVictimPreferred) {
   }
 }
 
-TEST(Scheduler, RemoteStealPatienceGatesFartherTiers) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 3;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
+TEST(Scheduler, PatienceGatesFartherTiers) {
+  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
   Scheduler &Sched = RT.scheduler();
   VProc &Thief = RT.vproc(0);
+  EXPECT_EQ(Sched.patienceOf(0), 64u) << "the patience seed";
 
   // Load only a *remote* vproc; the thief's node peer (vproc 4) is dry.
   for (int I = 0; I < 8; ++I)
     RT.vproc(1).spawn(trivialTask());
 
   // Fresh thief: only tier 0 is probeable, and it is empty. Each
-  // empty-handed round counts toward the unlock; tier 1 opens after 3.
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // failed rounds: 1
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // 2
-  EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-  EXPECT_FALSE(Sched.stealAndRun(Thief)); // 3 -> tier 1 unlocked
-  VProc *Victim = Sched.pickVictim(Thief);
-  ASSERT_NE(Victim, nullptr);
-  EXPECT_EQ(Victim->id(), 1u);
+  // empty-handed round counts toward the unlock; tier 1 opens once the
+  // failed rounds reach the patience (which the dry rounds may lower).
+  unsigned Rounds = 0;
+  while (Sched.pickVictim(Thief) == nullptr) {
+    ASSERT_LT(Rounds, Sched.patienceOf(0))
+        << "tier 1 must open once the failed rounds reach the patience";
+    EXPECT_FALSE(Sched.stealAndRun(Thief));
+    ++Rounds;
+  }
+  EXPECT_EQ(Rounds, Sched.patienceOf(0))
+      << "tier 1 must stay locked until the failed rounds reach the patience";
+  EXPECT_EQ(Sched.pickVictim(Thief)->id(), 1u);
 
   // A successful steal (a real handshake: vproc 1's worker answers from
   // its idle poll loop) resets the throttle, locking tier 1 again.
   EXPECT_TRUE(Sched.stealAndRun(Thief));
   EXPECT_EQ(Sched.pickVictim(Thief), nullptr);
-}
-
-TEST(Scheduler, ZeroPatienceUnlocksEveryTierImmediately) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 0;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-  for (int I = 0; I < 8; ++I)
-    RT.vproc(1).spawn(trivialTask());
-  VProc *Victim = RT.scheduler().pickVictim(RT.vproc(0));
-  ASSERT_NE(Victim, nullptr);
-  EXPECT_EQ(Victim->id(), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -190,57 +181,34 @@ TEST(Scheduler, QueueDepthReadableFromOtherThreads) {
 // Steal batching
 //===----------------------------------------------------------------------===//
 
-TEST(Scheduler, BatchSizeOneRestoresSingleTaskSteals) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 1;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  static std::atomic<int> Remaining;
-  Remaining = 60;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        for (int I = 0; I < 60; ++I)
-          VP.spawn({[](Runtime &, VProc &, Task) { Remaining.fetch_sub(1); },
-                    nullptr, Value::nil(), 0, 0});
-        while (Remaining.load() > 0) {
-          VP.poll();
-          std::this_thread::yield();
-        }
-      },
-      nullptr);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_GT(S.StealChunks, 0u);
-  EXPECT_EQ(S.TasksStolen, S.StealChunks)
-      << "StealBatch=1 must hand over exactly one task per mailbox chunk";
-  EXPECT_EQ(S.TasksServiced, S.TasksStolen);
-}
+TEST(Scheduler, OneHandshakeMovesHalfTheQueueUpToTheCap) {
+  // One handshake answers with min(ceil(k/2), MaxTaskBatch) tasks.
+  // Deterministic setup: load vproc 2 (the thief's node-0 peer on
+  // uniform(2,2)) between runs, then drive one stealAndRun from the
+  // test thread as vproc 0; vproc 2's worker answers from its drain
+  // poll loop.
+  for (unsigned Depth : {1u, 2u, 7u, 16u, 40u}) {
+    SCOPED_TRACE(Depth);
+    RuntimeConfig Cfg = testRuntimeConfig(4);
+    Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
+    Runtime RT(Cfg, Topology::uniform(2, 2));
+    ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
+    for (unsigned I = 0; I < Depth; ++I)
+      RT.vproc(2).spawn(trivialTask());
+    ASSERT_EQ(RT.vproc(2).queueDepth(), Depth);
 
-TEST(Scheduler, BatchesRespectTheConfiguredCap) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 3;
-  // Shedding off so every migration goes through the chunked handshake
-  // under test.
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  EXPECT_EQ(RT.scheduler().stealBatchLimit(), 3u);
-  static std::atomic<int> Remaining;
-  Remaining = 60;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        for (int I = 0; I < 60; ++I)
-          VP.spawn({[](Runtime &, VProc &, Task) { Remaining.fetch_sub(1); },
-                    nullptr, Value::nil(), 0, 0});
-        while (Remaining.load() > 0) {
-          VP.poll();
-          std::this_thread::yield();
-        }
-      },
-      nullptr);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_GT(S.StealBatches, 0u);
-  EXPECT_LE(S.TasksStolen, S.StealChunks * 3)
-      << "no mailbox chunk may exceed the StealBatch cap";
-  EXPECT_GT(S.meanStealBatch(), 1.0)
-      << "a deep victim queue must yield multi-task batches";
+    ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
+    SchedStats S = RT.vproc(0).schedStats();
+    uint64_t Moved = std::min((Depth + 1) / 2, MaxTaskBatch);
+    EXPECT_EQ(S.StealBatches, 1u);
+    EXPECT_EQ(S.TasksStolen, Moved);
+    EXPECT_EQ(RT.vproc(2).queueDepth(), Depth - Moved);
+    // One stolen task ran, the rest landed on the thief's queue.
+    EXPECT_EQ(RT.vproc(0).queueDepth(), Moved - 1);
+    for (unsigned V : {0u, 2u})
+      while (RT.vproc(V).runOneLocal())
+        ;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -412,7 +380,7 @@ TEST(Scheduler, PopForStealPrefersThiefAffineTasks) {
   }
 
   // A node-1 thief gets the node-1-hinted tasks first, then unhinted.
-  Task Out[StealRequest::MaxBatch];
+  Task Out[MaxTaskBatch];
   unsigned Matches = 0;
   unsigned Got = VP.popForSteal(/*ThiefNode=*/1, 3, Out, &Matches);
   ASSERT_EQ(Got, 3u);
@@ -546,11 +514,8 @@ TEST(Scheduler, HandshakeHammer) {
   // promotion delivers intact environments. The release/acquire pairs
   // documented on StealRequest are exactly what TSan checks here.
   RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.StealBatch = 4;
   // Keep every migration on the steal path: a shed parent would not
   // count toward TasksStolen and break the >= Parents assertion below.
-  // (Steal-half stays on, so the deep spawner queue exercises the
-  // chunked Filled/Consumed protocol under TSan.)
   Cfg.ShedThreshold = 0;
   Runtime RT(Cfg, Topology::uniform(4, 2));
 
@@ -600,38 +565,9 @@ TEST(Scheduler, HandshakeHammer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Load balancing: steal-half, victim-initiated shedding, adaptive
-// patience (the rebalance tests; run under TSan in CI)
+// Load balancing: victim-initiated shedding, adaptive patience (the
+// rebalance tests; run under TSan in CI)
 //===----------------------------------------------------------------------===//
-
-TEST(Rebalance, StealHalfDrainsDeepQueueInChunks) {
-  // One handshake against a deep queue must move ceil(k/2) tasks in
-  // several mailbox chunks. Deterministic setup: load vproc 2 (the
-  // thief's node-0 peer on uniform(2,2)) between runs, then drive one
-  // stealAndRun from the test thread as vproc 0; vproc 2's worker
-  // answers from its drain poll loop.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.StealBatch = 4;
-  Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
-
-  constexpr unsigned Deep = 40;
-  for (unsigned I = 0; I < Deep; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  ASSERT_EQ(RT.vproc(2).queueDepth(), Deep);
-
-  ASSERT_TRUE(RT.scheduler().stealAndRun(RT.vproc(0)));
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.StealBatches, 1u);
-  EXPECT_EQ(S.TasksStolen, (Deep + 1) / 2)
-      << "steal-half must move half the queue through one handshake";
-  EXPECT_EQ(S.StealChunks, (S.TasksStolen + 3) / 4)
-      << "the transfer must arrive in StealBatch-sized chunks";
-  EXPECT_EQ(RT.vproc(2).queueDepth(), Deep - S.TasksStolen);
-  // One stolen task ran, the rest landed on the thief's queue.
-  EXPECT_EQ(RT.vproc(0).queueDepth(), S.TasksStolen - 1);
-}
 
 TEST(Rebalance, LoadBoardAggregatesPerNodeDepth) {
   // uniform(2, 2), 4 vprocs: 0/2 on node 0, 1/3 on node 1.
@@ -722,7 +658,7 @@ TEST(Rebalance, ShedRespectsAffinityHints) {
   // Shed 4 to node 1: both node-1-hinted tasks first, then the two
   // un-hinted ones -- and NOT the node-0-hinted tasks, which sit ahead
   // of them in queue order.
-  Task Out[MaxShedBatch];
+  Task Out[MaxTaskBatch];
   unsigned Got = VP.popForShed(/*TargetNode=*/1, 4, Out);
   ASSERT_EQ(Got, 4u);
   EXPECT_EQ(Out[0].A, 3); // hinted at target, oldest
@@ -781,12 +717,10 @@ TEST(Rebalance, StarvedNodePickOnAmdTopology) {
 }
 
 TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.RemoteStealPatience = 16;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
+  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
   Scheduler &Sched = RT.scheduler();
   VProc &Thief = RT.vproc(0);
-  EXPECT_EQ(Sched.patienceOf(0), 16u);
+  EXPECT_EQ(Sched.patienceOf(0), 64u);
 
   // A dry world: every round fails, so windows keep halving the
   // patience until it pins at the lower bound (8) -- never below.
@@ -861,7 +795,6 @@ TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
   // busy or blocked after the shed.
   RuntimeConfig Cfg = testRuntimeConfig(4);
   Cfg.ShedThreshold = 8;
-  Cfg.RemoteStealPatience = 16;
   Runtime RT(Cfg, Topology::uniform(2, 2));
   ParkLot &Lot = RT.parkLot();
   ParkLot::Token FakeWaiter = Lot.prepare(1);
@@ -941,12 +874,11 @@ TEST(Rebalance, LoadBoardTeardownHammer) {
 }
 
 TEST(Rebalance, ShedHammer) {
-  // Everything on at once -- shedding, steal-half chunking, adaptive
+  // Everything on at once -- shedding, batched steals, adaptive
   // patience -- under an environment-carrying spawn storm: the TSan
-  // regression test for the publish/claim bay protocol and the chunked
-  // Filled/Consumed handshake, plus end-to-end env integrity.
+  // regression test for the publish/claim bay protocol and the
+  // Filled handshake, plus end-to-end env integrity.
   RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.StealBatch = 4;
   Cfg.ShedThreshold = 8;
   Runtime RT(Cfg, Topology::uniform(4, 2));
 
