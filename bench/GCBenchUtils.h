@@ -108,7 +108,7 @@ private:
 /// escaping only has to cover the free-form config strings.
 class JsonReport {
 public:
-  /// \p Bench names the binary's series (e.g. "ablation_rebalance");
+  /// \p Bench names the binary's series (e.g. "ablation_structures");
   /// \p Path may be nullptr (every add/write becomes a no-op).
   JsonReport(std::string Bench, const char *Path)
       : Bench(std::move(Bench)), Path(Path ? Path : "") {}

@@ -121,9 +121,6 @@ private:
 
   VProcHeap &H;
   EvacuateMode Mode;
-  /// GCConfig::ScanPrefetch snapshot: drain() prefetches upcoming copies
-  /// and pointer targets when set.
-  bool Prefetch;
   /// (chunk, scan cursor) pairs covering everything this evacuation has
   /// copied; the cursor chases the chunk's AllocPtr.
   std::vector<std::pair<Chunk *, Word *>> ScanCursors;

@@ -219,7 +219,6 @@ void ConcurrentMark::scanObject(Word *Obj) {
 
 bool ConcurrentMark::markStep(VProcHeap &H, unsigned Budget) {
   (void)H;
-  const bool Prefetch = W.Config.ScanPrefetch;
   bool DidWork = false;
   while (Budget != 0) {
     Word *Batch[GrayBatch];
@@ -230,9 +229,8 @@ bool ConcurrentMark::markStep(VProcHeap &H, unsigned Budget) {
     // The gray batch is a random walk over the global heap: request
     // every header in the batch up front so the scans overlap the
     // misses instead of serializing on them.
-    if (Prefetch)
-      for (unsigned I = 0; I < N; ++I)
-        MANTI_PREFETCH(Batch[I] - 1);
+    for (unsigned I = 0; I < N; ++I)
+      MANTI_PREFETCH(Batch[I] - 1);
     for (unsigned I = 0; I < N; ++I)
       scanObject(Batch[I]);
     InFlight.fetch_sub(1, std::memory_order_acq_rel);

@@ -318,20 +318,6 @@ Report manti::buildGCReport(GCWorld &World, const SchedStats &Sched) {
       .metric("affinity_handoffs",
               static_cast<double>(Sched.AffinityHandoffs),
               Report::Unit::Count, "affinity-matched handoffs")
-      .metric("tasks_shed", static_cast<double>(Sched.TasksShed),
-              Report::Unit::Count, "tasks shed")
-      .metric("shed_batches", static_cast<double>(Sched.ShedBatches),
-              Report::Unit::Count, "shed batches")
-      .metric("shed_target_misses",
-              static_cast<double>(Sched.ShedTargetMisses),
-              Report::Unit::Count, "shed target misses")
-      .metric("shed_tasks_claimed",
-              static_cast<double>(Sched.ShedTasksClaimed),
-              Report::Unit::Count, "shed claimed")
-      .metric("shed_claims", static_cast<double>(Sched.ShedClaims),
-              Report::Unit::Count, "shed pickups")
-      .metric("shed_env_bytes", static_cast<double>(Sched.ShedEnvBytes),
-              Report::Unit::Bytes, "shed-env")
       .metric("patience_raises", static_cast<double>(Sched.PatienceRaises),
               Report::Unit::Count, "patience raises")
       .metric("patience_drops", static_cast<double>(Sched.PatienceDrops),

@@ -166,12 +166,6 @@ struct GCConfig {
   /// ConcurrentGlobal). Starting early keeps the cycle ahead of the
   /// hard threshold, whose crossing still forces a STW fallback.
   double ConcurrentMarkWatermark = 0.5;
-  /// Software-prefetch the next object's header and the current object's
-  /// pointer-field targets in the collector scan loops (minor Cheney
-  /// scan, global evacuator drain, concurrent marker drain). Knob so the
-  /// microbench ablation (BM_MinorScanPrefetch{On,Off}) can show the
-  /// delta.
-  bool ScanPrefetch = true;
 };
 
 /// Global-collection phase word. Single source of truth for "is any

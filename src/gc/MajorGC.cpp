@@ -35,7 +35,7 @@ using namespace manti;
 //===----------------------------------------------------------------------===//
 
 GlobalEvacuator::GlobalEvacuator(VProcHeap &H, EvacuateMode Mode)
-    : H(H), Mode(Mode), Prefetch(H.world().config().ScanPrefetch) {
+    : H(H), Mode(Mode) {
   // Start scanning at the current fill point of the vproc's chunk;
   // everything before it was copied by earlier collections and already
   // satisfies the invariants.
@@ -99,18 +99,16 @@ void GlobalEvacuator::drain() {
         MANTI_CHECK(headerId(Hdr) != IdProxy,
                     "local heaps never hold proxy objects");
         uint64_t Foot = objectFootprintWords(Hdr);
-        if (Prefetch) {
-          // Pull in the next copy's header and this copy's pointer
-          // targets before the forwarding pass needs them: the drain
-          // walks freshly-written global chunks while chasing local
-          // source objects, both outside cache on real heaps.
-          MANTI_PREFETCH(Cur + Foot);
-          forEachPtrField(Cur + 1, Hdr, Descs, [&](Word *Slot) {
-            Word W = *Slot;
-            if (wordIsPtr(W))
-              MANTI_PREFETCH(reinterpret_cast<Word *>(W) - 1);
-          });
-        }
+        // Pull in the next copy's header and this copy's pointer
+        // targets before the forwarding pass needs them: the drain walks
+        // freshly-written global chunks while chasing local source
+        // objects, both outside cache on real heaps.
+        MANTI_PREFETCH(Cur + Foot);
+        forEachPtrField(Cur + 1, Hdr, Descs, [&](Word *Slot) {
+          Word W = *Slot;
+          if (wordIsPtr(W))
+            MANTI_PREFETCH(reinterpret_cast<Word *>(W) - 1);
+        });
         forEachPtrField(Cur + 1, Hdr, Descs,
                         [&](Word *Slot) { visitSlot(Slot); });
         ScanCursors[I].second = Cur + Foot;

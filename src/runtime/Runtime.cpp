@@ -239,13 +239,7 @@ void Runtime::enumerateVProcRootsThunk(unsigned VProcId, RootSlotVisitor V,
 void Runtime::enumerateGlobalRootsThunk(RootSlotVisitor V, void *VisitorCtx,
                                         void *EnumCtx) {
   Runtime *RT = static_cast<Runtime *>(EnumCtx);
-  {
-    std::lock_guard<SpinLock> Guard(RT->RootProviderLock);
-    for (GlobalRootProvider *P : RT->RootProviders)
-      P->enumerateGlobalRoots(V, VisitorCtx);
-  }
-  // Shed-bay residents: published rebalance batches whose environments
-  // live in the global heap (promoted before publication) but are
-  // reachable from no queue until a claimer picks them up.
-  RT->Lot->forEachShedRoot([&](Word *Slot) { V(Slot, VisitorCtx); });
+  std::lock_guard<SpinLock> Guard(RT->RootProviderLock);
+  for (GlobalRootProvider *P : RT->RootProviders)
+    P->enumerateGlobalRoots(V, VisitorCtx);
 }

@@ -7,8 +7,9 @@
 /// \file
 /// The hardware-abstraction level of Section 2.2: hosts one vproc per
 /// pthread, pins threads (best effort) to the cores the topology's
-/// sparse assignment chose, wires the scheduler's roots into the
-/// collector, and owns process-wide structures (channel registry).
+/// sparse assignment chose, wires the scheduler's roots (ready queues,
+/// in-flight steal batches, result cells) into the collector, and owns
+/// process-wide structures (channel registry).
 ///
 /// Usage:
 /// \code
@@ -59,6 +60,8 @@ public:
                                     void *VisitorCtx) = 0;
 };
 
+/// The scheduler itself has no knob: stealing is its only load
+/// balancer, and its patience adapts on its own (runtime/Scheduler.h).
 struct RuntimeConfig {
   GCConfig GC;
   unsigned NumVProcs = 2;
@@ -72,14 +75,6 @@ struct RuntimeConfig {
   /// effort either way, and the constructing thread's original affinity
   /// is restored when the runtime is destroyed.
   bool PinThreads = true;
-  /// Victim-initiated shedding: when a vproc's queue depth reaches this
-  /// at spawn time and some other node sits starved with parked vprocs,
-  /// the spawner pushes a promoted, affinity-respecting batch of up to
-  /// min(ceil(depth/2), MaxTaskBatch) tasks into that node's ParkLot
-  /// shed bay and rings its doorbell, instead of leaving the imbalance
-  /// to remote-steal patience. 0 disables the push side (ablation
-  /// baseline).
-  unsigned ShedThreshold = 32;
 };
 
 using MainFn = void (*)(Runtime &RT, VProc &VP, void *Ctx);

@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Counters for the work-stealing scheduler. Each vproc owns one
-/// SchedStats and mutates only its own (thief-side counters on the
-/// thief's copy, victim-side counters on the victim's copy), so no
-/// synchronization is needed; reports aggregate them after the vprocs
-/// have quiesced. Kept dependency-free so the reporting layer
+/// Counters for the work-stealing scheduler: steal handshakes from both
+/// ends, failed rounds, parks, doorbell traffic and adaptive patience.
+/// Each vproc owns one SchedStats and mutates only its own (thief-side
+/// counters on the thief's copy, victim-side counters on the victim's
+/// copy), so no synchronization is needed; reports aggregate them after
+/// the vprocs have quiesced. Kept dependency-free so the reporting layer
 /// (gc/GCReport) can render scheduler statistics without pulling in the
 /// runtime headers.
 ///
@@ -57,15 +58,10 @@ struct SchedStats {
   uint64_t AffinityHandoffs = 0; ///< steal-batch tasks handed to their
                                  ///< hinted node's thief
 
-  // Victim-initiated shedding (the push side of rebalancing). Shedder
-  // counters are charged to the vproc whose deep queue shed; claim
-  // counters to the vproc that picked the batch up from its node's bay.
-  uint64_t TasksShed = 0;        ///< tasks pushed to a starved node's bay
-  uint64_t ShedBatches = 0;      ///< shed handshakes (publish + ring)
-  uint64_t ShedEnvBytes = 0;     ///< environment bytes promoted for sheds
-  uint64_t ShedTargetMisses = 0; ///< deep queue, but no parked starved node
-  uint64_t ShedClaims = 0;       ///< bay pickups by this vproc
-  uint64_t ShedTasksClaimed = 0; ///< tasks received through those pickups
+  /// Always 0: the scheduler no longer sheds work; stealing is its only
+  /// load balancer. Kept only because the repo benchmark reads it for
+  /// runtime.sched.tasks_shed; it goes when that metric does.
+  uint64_t TasksShed = 0;
 
   // Adaptive remote-steal patience (per-vproc multiplicative updates,
   // clamped to [8, 512] rounds).
@@ -117,11 +113,6 @@ struct SchedStats {
     RingWakeupNanos += O.RingWakeupNanos;
     AffinityHandoffs += O.AffinityHandoffs;
     TasksShed += O.TasksShed;
-    ShedBatches += O.ShedBatches;
-    ShedEnvBytes += O.ShedEnvBytes;
-    ShedTargetMisses += O.ShedTargetMisses;
-    ShedClaims += O.ShedClaims;
-    ShedTasksClaimed += O.ShedTasksClaimed;
     PatienceRaises += O.PatienceRaises;
     PatienceDrops += O.PatienceDrops;
   }

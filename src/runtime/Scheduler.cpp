@@ -61,7 +61,7 @@ constexpr unsigned PatienceMax = 512;
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
-    : RT(RT), Lot(RT.parkLot()), ShedThreshold(RT.config().ShedThreshold) {
+    : RT(RT), Lot(RT.parkLot()) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
   for (BackoffState &B : Backoff)
@@ -84,12 +84,6 @@ Scheduler::Scheduler(Runtime &RT)
         Proximity[V].push_back(std::move(VTier));
     }
   }
-
-  // Load-board aggregation lists: which vprocs' depth counters make up
-  // each node's estimate.
-  NodeVProcs.resize(Topo.numNodes());
-  for (unsigned V = 0; V < N; ++V)
-    NodeVProcs[RT.vproc(V).node()].push_back(V);
 
   // Ring-escalation order: from each vproc-hosting node, the *other*
   // nodes that host vprocs, nearest first.
@@ -169,9 +163,7 @@ void Scheduler::runUntil(VProc &VP, bool (*Done)(void *), void *Ctx) {
     }
     if (Done(Ctx))
       break;
-    // Shed batches parked in this node's bay are nearer than anything a
-    // steal could fetch; claim them before probing victims.
-    if (claimShedAndRun(VP) || stealAndRun(VP)) {
+    if (stealAndRun(VP)) {
       noteProgress(VP);
       continue;
     }
@@ -326,139 +318,17 @@ bool Scheduler::serviceSteal(VProc &Victim) {
   return true;
 }
 
-std::size_t Scheduler::nodeDepth(NodeId Node) const {
-  std::size_t Sum = 0;
-  for (unsigned V : NodeVProcs[Node])
-    Sum += RT.vproc(V).queueDepth();
-  return Sum;
-}
-
-NodeId Scheduler::pickShedTarget(VProc &VP) {
-  // A shed must make the imbalance better, not just move it: the target
-  // must have an *idle-ladder* parker (somebody there is idle now AND
-  // will claim the bay when rung -- a channel-blocked parker cannot run
-  // arbitrary tasks, so it does not count), and its total load -- board
-  // depth plus whatever already sits in its bay unclaimed -- must be
-  // well below ours.
-  std::size_t OwnDepth = VP.queueDepth();
-  NodeId Best = NoShedTarget;
-  std::size_t BestLoad = 0;
-  for (NodeId N : NodeOrder[VP.node()]) {
-    if (Lot.idleParkedOn(N) == 0)
-      continue;
-    std::size_t Load = nodeDepth(N) + Lot.shedDepth(N);
-    if (Load * 2 >= OwnDepth)
-      continue;
-    if (Best == NoShedTarget || Load < BestLoad) {
-      Best = N;
-      BestLoad = Load;
-    }
-  }
-  return Best;
-}
-
-bool Scheduler::maybeShed(VProc &VP) {
-  if (ShedThreshold == 0 || VP.queueDepth() < ShedThreshold)
-    return false;
-  NodeId Target = pickShedTarget(VP);
-  if (Target == NoShedTarget) {
-    ++VP.SStats.ShedTargetMisses;
-    return false;
-  }
-  unsigned Want = static_cast<unsigned>(std::min<std::size_t>(
-      (VP.queueDepth() + 1) / 2, MaxTaskBatch));
-  Task Batch[MaxTaskBatch];
-  unsigned Got = VP.popForShed(Target, Want, Batch);
-  if (Got == 0)
-    return false;
-  uint64_t PromotedBefore = VP.Heap.Stats.PromoteBytes;
-  for (unsigned I = 0; I < Got; ++I) {
-    if (RT.lazyPromotion()) {
-      // Same rule as the steal handshake: the tasks provably leave this
-      // vproc, so their environments leave its local heap now, copied
-      // out by the only thread allowed to (the owner). No safe point
-      // between the pop above and publishShed below, so the staged
-      // batch cannot be collected out from under us.
-      Batch[I].Env = VP.Heap.promote(Batch[I].Env);
-    }
-  }
-  uint64_t EnvBytes = VP.Heap.Stats.PromoteBytes - PromotedBefore;
-
-  // Push-side handshake: publish the batch in the target node's bay,
-  // *then* ring its doorbell -- the bay lock publishes the data, the
-  // ring only cuts a parked claimer's wait short (and the doorbell
-  // protocol's fence pairing plus the park-side bay re-check make the
-  // ring un-losable, same as every other ring site).
-  Lot.publishShed(Target, Batch, Got);
-  ringNode(VP, Target);
-
-  VP.SStats.TasksShed += Got;
-  ++VP.SStats.ShedBatches;
-  VP.SStats.ShedEnvBytes += EnvBytes;
-  if (EnvBytes > 0)
-    RT.world().traffic().record(VP.node(), Target, EnvBytes);
-  MANTI_DEBUG("sched", "vp%u shed %u task(s) to node %u", VP.id(), Got,
-              Target);
-  return true;
-}
-
-bool Scheduler::claimShedFrom(VProc &VP, NodeId Node) {
-  if (Lot.shedDepth(Node) == 0)
-    return false;
-  Task Batch[MaxTaskBatch];
-  unsigned Got = Lot.claimShed(Node, Batch, MaxTaskBatch);
-  if (Got == 0)
-    return false;
-  // Queue the tail before running the head; no safe point between the
-  // claim and these enqueues (the batch is unrooted until it lands in
-  // the queue scan / runTask's scope).
-  for (unsigned I = 1; I < Got; ++I)
-    VP.enqueueStolen(Batch[I]);
-  VP.SStats.ShedTasksClaimed += Got;
-  ++VP.SStats.ShedClaims;
-  // Leftover backlog belongs to the bay's node; a multi-task claim is
-  // fresh work on this one. Ring so parked peers join in.
-  if (Lot.shedDepth(Node) > 0)
-    ringNode(VP, Node);
-  if (Got > 1)
-    ringNode(VP, VP.node());
-  MANTI_DEBUG("sched", "vp%u claimed %u shed task(s) from node %u",
-              VP.id(), Got, Node);
-  VP.runTask(Batch[0]);
-  return true;
-}
-
-bool Scheduler::claimShedAndRun(VProc &VP) {
-  if (claimShedFrom(VP, VP.node()))
-    return true;
-  // Bay work conservation: a batch shed toward a node whose vprocs all
-  // went busy (or blocked in channels) must not strand. Remote bays
-  // open up on the same terms as remote victims -- after one patience
-  // of empty-handed rounds -- so the bay's own node still gets first
-  // claim on its batches.
-  if (Backoff[VP.id()].FailedRounds < Backoff[VP.id()].Patience)
-    return false;
-  for (NodeId N : NodeOrder[VP.node()])
-    if (claimShedFrom(VP, N))
-      return true;
-  return false;
-}
-
 unsigned Scheduler::parkMicrosFor(unsigned Step) {
   return std::min(MinParkMicros << std::min(Step, 5u), MaxParkMicros);
 }
 
 void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
-                             bool (*Pred)(void *), void *PredCtx,
-                             bool Claimable) {
+                             bool (*Pred)(void *), void *PredCtx) {
   // Doorbell park: snapshot the epochs, re-check every standing wake
   // condition, then wait. Any ring that lands after the snapshot --
   // including the global-GC broadcast -- makes the wait return
   // immediately, so the conditions checked here can never be missed.
-  // Only claimable parkers (idle ladder, joinWait) register as
-  // shed-claim targets: targeting must not count a channel-blocked
-  // parker, which cannot run arbitrary tasks.
-  ParkLot::Token T = Lot.prepare(VP.node(), Claimable);
+  ParkLot::Token T = Lot.prepare(VP.node());
   // Fence pairing with ringNode: in the seq_cst fence order, either this
   // fence precedes the ringer's (so the ringer's waiter-count load sees
   // prepare's increment and rings) or the ringer's precedes this one
@@ -466,15 +336,7 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
   // Either way a condition set concurrently with this park cannot be
   // missed, which is what lets blockOn use long ring-driven parks.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  // The shed-bay check applies only to claimable parks while a run is
-  // live: a channel-blocked vproc cannot run arbitrary tasks, so waking
-  // it for a bay batch would just burn its backstop, and the
-  // between-runs drain loops never claim (a leftover fire-and-forget
-  // batch waits for the next run, like leftover queue tasks do) so
-  // keeping them awake for one would spin them.
   if ((Pred && Pred(PredCtx)) ||
-      (Claimable && RT.schedulerActive() &&
-       Lot.shedDepth(VP.node()) != 0) ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
       RT.world().rendezvousRequested()) {
     Lot.cancel(VP.node(), T);
@@ -515,7 +377,7 @@ void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
     return;
   }
   doorbellPark(VP, parkMicrosFor(R - SpinRounds - YieldRounds - 1),
-               RecordStats, Pred, PredCtx, /*Claimable=*/true);
+               RecordStats, Pred, PredCtx);
 }
 
 bool Scheduler::ringNode(VProc &Ringer, NodeId Node) {
@@ -577,8 +439,7 @@ void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
   unsigned Round = 0;
   while (!Pred(Ctx)) {
     VP.poll();
-    doorbellPark(VP, parkMicrosFor(Round++), RecordStats, Pred, Ctx,
-                 /*Claimable=*/false);
+    doorbellPark(VP, parkMicrosFor(Round++), RecordStats, Pred, Ctx);
   }
 }
 

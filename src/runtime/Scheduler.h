@@ -27,20 +27,10 @@
 ///     environments in one answer, so one mailbox round trip amortizes
 ///     several promotions.
 ///
-///   * Load balancing is *two-sided*. Stealing is the pull side; the
-///     push side is victim-initiated shedding: a vproc whose queue depth
-///     crosses RuntimeConfig::ShedThreshold at spawn time consults the
-///     *load board* (per-node depth estimates aggregated from the
-///     vprocs' atomic queue-depth counters), picks the most-starved node
-///     that has parked vprocs, promotes a batch of up to ceil(depth/2)
-///     tasks (affinity-respecting: a task hinted at the local node is
-///     never shed while an un-hinted one exists), publishes it in the
-///     target node's ParkLot shed bay, and rings that node's doorbell.
-///     A woken (or otherwise idle) vproc claims the batch from its own
-///     node's bay before it tries to steal. ShedThreshold=0 disables the
-///     push side entirely (the ablation baseline): a skewed producer
-///     then rebalances only at remote-steal patience, exactly the gap
-///     shedding closes.
+///   * Load balancing is stealing alone, as in the paper (Section 2.3):
+///     idle vprocs pull work; busy ones never push it. A skewed producer
+///     feeds its own node first and remote nodes once their thieves'
+///     patience unlocks its tier; noteSpawn's ring escalation wakes them.
 ///
 ///   * The remote-steal patience itself is *adaptive*: each thief keeps
 ///     a per-vproc patience value, seeded at 64 rounds, and over windows
@@ -99,9 +89,6 @@ public:
   Scheduler(const Scheduler &) = delete;
   Scheduler &operator=(const Scheduler &) = delete;
 
-  /// Queue depth at which a spawning vproc tries to shed (0 = the push
-  /// side is disabled, the ablation baseline).
-  unsigned shedThreshold() const { return ShedThreshold; }
   /// \p VProcId's current remote-steal patience (seeded at 64 rounds,
   /// then adapted). Like the rest of the backoff state this is
   /// owner-thread data: call it from the thread driving that vproc
@@ -129,8 +116,8 @@ public:
   /// run is over") and VProc::joinWait (\p Done = the join counter hit
   /// zero). Each iteration answers \p VP's steal mailbox and takes a
   /// safe point, runs the newest local task, and only when the queue is
-  /// empty (and \p Done still false) claims a shed batch, steals, or
-  /// steps down the idle ladder. Answering the mailbox *before* running
+  /// empty (and \p Done still false) steals or steps down the idle
+  /// ladder. Answering the mailbox *before* running
   /// local work is what lets a spawner's queue be stolen while the
   /// spawner works through it. \p Done must be safe to evaluate
   /// concurrently with whoever makes it true (read atomics).
@@ -161,8 +148,7 @@ public:
   /// for aggregateStats() readers by then. A non-null \p Pred is an
   /// extra wake condition re-checked after the park's epoch snapshot
   /// (runUntil passes its Done condition), so a targeted ring for it
-  /// can never be lost; the park stays claimable either way, since
-  /// idle-ladder callers can all run arbitrary tasks.
+  /// can never be lost.
   void idleBackoff(VProc &VP, bool RecordStats = true,
                    bool (*Pred)(void *) = nullptr, void *PredCtx = nullptr);
 
@@ -195,49 +181,6 @@ public:
   /// a waiter was present.
   bool ringNode(VProc &Ringer, NodeId Node);
 
-  //===--------------------------------------------------------------------===//
-  // Load board and victim-initiated shedding
-  //===--------------------------------------------------------------------===//
-
-  /// Returned by pickShedTarget when no node qualifies.
-  static constexpr NodeId NoShedTarget = ~0u;
-
-  /// Load-board read: the summed queue-depth estimate of \p Node's
-  /// vprocs (each vproc's atomic depth counter, so this is safe from any
-  /// thread while the Runtime is alive -- see VProc::queueDepth for the
-  /// teardown protocol). A racy snapshot by construction; shed targeting
-  /// treats it as a heuristic.
-  std::size_t nodeDepth(NodeId Node) const;
-
-  /// Picks the node a shed from \p VP would target: among the *other*
-  /// vproc-hosting nodes that currently have parked vprocs, the one with
-  /// the smallest load (board depth + bay backlog), nearest first on
-  /// ties, and only if that load is genuinely starved relative to \p
-  /// VP's own queue (less than half of it). \returns NoShedTarget when
-  /// no node qualifies. Exposed for tests; maybeShed uses it.
-  NodeId pickShedTarget(VProc &VP);
-
-  /// Victim-initiated shedding, called by VProc::spawn after every push:
-  /// when \p VP's queue depth has reached ShedThreshold and a starved
-  /// parked node exists, pops up to min(ceil(depth/2), MaxTaskBatch)
-  /// tasks (affinity-respecting, see VProc::popForShed), promotes their
-  /// environments, publishes them in the target's shed bay, and rings
-  /// the target's doorbell -- publish before ring, like every other ring
-  /// site. \returns true when a batch was shed.
-  bool maybeShed(VProc &VP);
-
-  /// Claim side: pops a batch from \p VP's own node's shed bay, queues
-  /// the tail locally, re-rings when backlog remains, and runs the
-  /// first task. Work conservation across bays: when the own bay is
-  /// empty and \p VP's failed steal rounds have already unlocked remote
-  /// stealing (one patience), unclaimed *remote* bays are claimed too,
-  /// nearest first, so a batch shed toward a node whose vprocs all went
-  /// busy or blocked can never strand. Called from the idle paths
-  /// (runUntil) ahead of stealing; never from
-  /// blocked-channel waits, which must not run arbitrary tasks.
-  /// \returns true if a task was executed.
-  bool claimShedAndRun(VProc &VP);
-
   /// The doorbells (exposed so Runtime can broadcast run-epoch and
   /// termination turnovers).
   ParkLot &parkLot() { return Lot; }
@@ -249,10 +192,6 @@ private:
   /// Posts Thief's request on Victim's mailbox and waits for the answer.
   /// \returns true if a batch arrived and its first task was run.
   bool attemptSteal(VProc &Thief, VProc &Victim);
-
-  /// Claims from node \p Node's bay on \p VP's behalf (\p VP runs the
-  /// first task). \returns true if a task was executed.
-  bool claimShedFrom(VProc &VP, NodeId Node);
 
   /// Highest proximity tier (exclusive) the thief may currently probe:
   /// tier k unlocks after k * patience consecutive failed rounds.
@@ -270,12 +209,9 @@ private:
   /// non-null) *after* the epoch snapshot -- the re-check-after-prepare
   /// is what makes a racing ring unable to be lost -- then wait for at
   /// most \p Micros. Records park statistics on \p VP when
-  /// \p RecordStats. \p Claimable distinguishes parkers that can run
-  /// arbitrary tasks (the idle ladder, joinWait) from channel blocks:
-  /// only the former register as shed-claim targets and wake for bay
-  /// backlog.
+  /// \p RecordStats.
   void doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
-                    bool (*Pred)(void *), void *PredCtx, bool Claimable);
+                    bool (*Pred)(void *), void *PredCtx);
 
   /// Exponential park bound for ladder position \p Step.
   static unsigned parkMicrosFor(unsigned Step);
@@ -298,15 +234,11 @@ private:
 
   Runtime &RT;
   ParkLot &Lot;
-  unsigned ShedThreshold;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;
   /// NodeOrder[n] = the other nodes hosting vprocs, nearest first (ring
   /// escalation order).
   std::vector<std::vector<NodeId>> NodeOrder;
-  /// NodeVProcs[n] = the vproc ids hosted on node n (the load board's
-  /// aggregation lists).
-  std::vector<std::vector<unsigned>> NodeVProcs;
   /// Owner-thread-only ladder state, indexed by vproc id.
   std::vector<BackoffState> Backoff;
 };

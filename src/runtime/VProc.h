@@ -66,9 +66,10 @@ namespace manti {
 class Runtime;
 class Scheduler;
 
-/// Hard cap on the tasks one transfer moves: a steal answer, a shed
-/// publication, and a shed claim. Sized so one shed can rebalance half
-/// of a queue twice the default RuntimeConfig::ShedThreshold.
+/// Hard cap on the tasks one steal answer moves. Headroom, not a tuned
+/// value: with one capped answer per handshake, no handshake on any
+/// repo-benchmark workload moved more than 6 tasks (README, "Recorded
+/// ablation verdicts"), so the cap only bounds a pathological queue.
 inline constexpr unsigned MaxTaskBatch = 16;
 
 /// One steal-handshake mailbox message. Each vproc owns exactly one
@@ -158,29 +159,19 @@ public:
   unsigned popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
                        unsigned *AffinityMatches = nullptr);
 
-  /// Owner-thread pop of up to \p Max tasks from the steal (oldest) end
-  /// for a *shed* to \p TargetNode, written to \p Out. Affinity ranking
-  /// differs from popForSteal in one way that matters: tasks hinted at
-  /// THIS vproc's node are shed last -- never while an un-hinted task
-  /// exists -- because shedding a task away from its data defeats the
-  /// point of the hint. Order: hinted-at-target, un-hinted, hinted at
-  /// some other remote node, hinted-local; oldest first within each
-  /// class. \returns the task count.
-  unsigned popForShed(NodeId TargetNode, unsigned Max, Task *Out);
-
   /// Number of tasks currently in the local queue. Safe to call from any
   /// thread: reads a depth counter the owner maintains at push/pop
   /// instead of touching the deque (which only the owner may do). The
-  /// value is a snapshot -- victim selection and the scheduler's load
-  /// board treat it as a load heuristic, nothing more.
+  /// value is a snapshot -- victim selection treats it as a load
+  /// heuristic, nothing more.
   ///
-  /// Lifetime protocol for cross-thread readers (the load board, shed
-  /// targeting, tests): a VProc may be read for exactly as long as its
+  /// Lifetime protocol for cross-thread readers (victim selection,
+  /// tests): a VProc may be read for exactly as long as its
   /// Runtime is alive. ~Runtime joins every worker thread *before* any
   /// VProc is destroyed, so scheduler-internal readers (including the
   /// drain loops between runs) can never touch a dead vproc; external
   /// readers must not outlive the Runtime object, same as any other
-  /// accessor on it. SchedulerTest.LoadBoardTeardownHammer runs this
+  /// accessor on it. Scheduler.QueueDepthTeardownHammer runs this
   /// protocol under TSan across run()/drain boundaries.
   std::size_t queueDepth() const {
     return Depth.load(std::memory_order_relaxed);

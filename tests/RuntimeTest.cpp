@@ -210,12 +210,7 @@ TEST(ParallelReduce, BuildsValueTree) {
 }
 
 TEST(WorkStealing, StealsHappenAcrossVProcs) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  // This test pins the steal channel: with shedding on, part of the
-  // burst would (correctly) migrate through the shed bay instead and
-  // never count as stolen.
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
+  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   static std::atomic<int> Remaining;
   Remaining = 40;
   RT.run(
@@ -369,10 +364,8 @@ TEST(WorkStealing, LazyPromotesAtMostStolenTasks) {
   uint64_t Promotions = 0, Migrations = 0;
   for (unsigned I = 0; I < RT.numVProcs(); ++I) {
     Promotions += RT.world().heap(I).Stats.PromoteCalls;
-    // Both migration channels promote: the steal handshake and the
-    // victim-initiated shed path.
+    // The steal handshake is the only migration channel.
     Migrations += RT.vproc(I).stealsServiced();
-    Migrations += RT.vproc(I).schedStats().TasksShed;
   }
   EXPECT_LE(Promotions, Migrations)
       << "lazy promotion pays only for tasks that actually migrate";

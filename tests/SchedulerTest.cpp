@@ -189,9 +189,7 @@ TEST(Scheduler, OneHandshakeMovesHalfTheQueueUpToTheCap) {
   // poll loop.
   for (unsigned Depth : {1u, 2u, 7u, 16u, 40u}) {
     SCOPED_TRACE(Depth);
-    RuntimeConfig Cfg = testRuntimeConfig(4);
-    Cfg.ShedThreshold = 0; // the spawns below must stay on vproc 2
-    Runtime RT(Cfg, Topology::uniform(2, 2));
+    Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
     ASSERT_EQ(RT.vproc(2).node(), RT.vproc(0).node());
     for (unsigned I = 0; I < Depth; ++I)
       RT.vproc(2).spawn(trivialTask());
@@ -405,10 +403,8 @@ TEST(Scheduler, AffinityTasksFlowToTheirNode) {
   // vprocs puts the spawner alone on node 0 and the only thief on node
   // 1. The spawner never runs its own queue (it only answers steal
   // requests), so every hinted task is stolen, and every handover is an
-  // affinity match. No shedding: every migration takes the steal path.
-  RuntimeConfig Cfg = testRuntimeConfig(2);
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 1));
+  // affinity match.
+  Runtime RT(testRuntimeConfig(2), Topology::uniform(2, 1));
   ASSERT_EQ(RT.vproc(0).node(), 0u);
   ASSERT_EQ(RT.vproc(1).node(), 1u);
   constexpr int Tasks = 64;
@@ -513,11 +509,7 @@ TEST(Scheduler, HandshakeHammer) {
   // then an environment-carrying spawn storm checks that batched
   // promotion delivers intact environments. The release/acquire pairs
   // documented on StealRequest are exactly what TSan checks here.
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  // Keep every migration on the steal path: a shed parent would not
-  // count toward TasksStolen and break the >= Parents assertion below.
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
+  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
 
   constexpr int Parents = 250, Children = 3;
   static std::atomic<int> Remaining;
@@ -565,156 +557,9 @@ TEST(Scheduler, HandshakeHammer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Load balancing: victim-initiated shedding, adaptive patience (the
-// rebalance tests; run under TSan in CI)
+// Load balancing: adaptive patience and the queue-depth lifetime rule
+// (the hammer runs under TSan in CI)
 //===----------------------------------------------------------------------===//
-
-TEST(Rebalance, LoadBoardAggregatesPerNodeDepth) {
-  // uniform(2, 2), 4 vprocs: 0/2 on node 0, 1/3 on node 1.
-  Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
-  Scheduler &Sched = RT.scheduler();
-  EXPECT_EQ(Sched.nodeDepth(0), 0u);
-  EXPECT_EQ(Sched.nodeDepth(1), 0u);
-  for (int I = 0; I < 3; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  for (int I = 0; I < 2; ++I)
-    RT.vproc(2).spawn(trivialTask());
-  for (int I = 0; I < 5; ++I)
-    RT.vproc(1).spawn(trivialTask());
-  EXPECT_EQ(Sched.nodeDepth(0), 5u) << "node 0 = vproc 0 + vproc 2";
-  EXPECT_EQ(Sched.nodeDepth(1), 5u) << "node 1 = vproc 1";
-  while (RT.vproc(0).runOneLocal() || RT.vproc(1).runOneLocal() ||
-         RT.vproc(2).runOneLocal())
-    ;
-  EXPECT_EQ(Sched.nodeDepth(0), 0u);
-  EXPECT_EQ(Sched.nodeDepth(1), 0u);
-}
-
-TEST(Rebalance, NeverShedsBelowThreshold) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 8;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot &Lot = RT.parkLot();
-  // Force node 1 to look parked and starved (a registered waiter that
-  // never sleeps), so the *only* thing gating a shed is the threshold.
-  ParkLot::Token FakeWaiter = Lot.prepare(1);
-  for (int I = 0; I < 7; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  EXPECT_EQ(RT.vproc(0).schedStats().TasksShed, 0u)
-      << "a queue below ShedThreshold must never shed";
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  // The eighth spawn crosses the threshold: ceil(8/2) tasks move.
-  RT.vproc(0).spawn(trivialTask());
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.ShedBatches, 1u);
-  EXPECT_EQ(S.TasksShed, 4u);
-  EXPECT_EQ(Lot.shedDepth(1), 4u);
-  EXPECT_EQ(RT.vproc(0).queueDepth(), 4u);
-  Lot.cancel(1, FakeWaiter);
-  // Drain the bay from a node-1 vproc so nothing leaks into teardown
-  // accounting (claims are an owner-thread operation; vproc 1's worker
-  // is drain-idling and never claims between runs).
-  while (RT.scheduler().claimShedAndRun(RT.vproc(1)))
-    ;
-  while (RT.vproc(1).runOneLocal())
-    ;
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  EXPECT_EQ(RT.vproc(1).schedStats().ShedTasksClaimed, 4u);
-}
-
-TEST(Rebalance, ShedThresholdZeroDisablesShedding) {
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 0;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot::Token FakeWaiter = RT.parkLot().prepare(1);
-  for (int I = 0; I < 64; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  RT.parkLot().cancel(1, FakeWaiter);
-  SchedStats S = RT.vproc(0).schedStats();
-  EXPECT_EQ(S.TasksShed, 0u);
-  EXPECT_EQ(S.ShedBatches, 0u);
-  EXPECT_EQ(S.ShedTargetMisses, 0u) << "threshold 0 never even looks";
-  EXPECT_EQ(RT.parkLot().shedDepth(1), 0u);
-  while (RT.vproc(0).runOneLocal())
-    ;
-}
-
-TEST(Rebalance, ShedRespectsAffinityHints) {
-  // popForShed's class order: hinted-at-target, un-hinted, hinted at
-  // some other remote node, and hinted-local strictly last.
-  Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
-  VProc &VP = RT.vproc(0);
-  ASSERT_EQ(VP.node(), 0u);
-
-  const NodeId Hints[8] = {0,  Task::NoAffinity, 2, 1,
-                           0,  Task::NoAffinity, 3, 1};
-  for (int I = 0; I < 8; ++I) {
-    Task T = trivialTask();
-    T.A = I;
-    T.Affinity = Hints[I];
-    VP.spawn(T);
-  }
-
-  // Shed 4 to node 1: both node-1-hinted tasks first, then the two
-  // un-hinted ones -- and NOT the node-0-hinted tasks, which sit ahead
-  // of them in queue order.
-  Task Out[MaxTaskBatch];
-  unsigned Got = VP.popForShed(/*TargetNode=*/1, 4, Out);
-  ASSERT_EQ(Got, 4u);
-  EXPECT_EQ(Out[0].A, 3); // hinted at target, oldest
-  EXPECT_EQ(Out[1].A, 7); // hinted at target
-  EXPECT_EQ(Out[2].A, 1); // un-hinted, oldest
-  EXPECT_EQ(Out[3].A, 5); // un-hinted
-
-  // Next shed: other-remote-hinted (nodes 2, 3) go before local-hinted.
-  Got = VP.popForShed(/*TargetNode=*/1, 2, Out);
-  ASSERT_EQ(Got, 2u);
-  EXPECT_EQ(Out[0].A, 2); // hinted at node 2
-  EXPECT_EQ(Out[1].A, 6); // hinted at node 3
-
-  // Only local-hinted tasks remain: work conservation still sheds them.
-  Got = VP.popForShed(/*TargetNode=*/1, 2, Out);
-  ASSERT_EQ(Got, 2u);
-  EXPECT_EQ(Out[0].A, 0);
-  EXPECT_EQ(Out[1].A, 4);
-  EXPECT_EQ(VP.queueDepth(), 0u);
-}
-
-TEST(Rebalance, StarvedNodePickOnAmdTopology) {
-  // The 48-core AMD machine, 16 vprocs: vprocs V and V+8 on node V.
-  // Load every node except node 3, register a (never-sleeping) waiter
-  // on 3, and the shed target must be exactly the starved node.
-  RuntimeConfig Cfg = testRuntimeConfig(16);
-  Cfg.ShedThreshold = 0; // the loading spawns themselves must not shed
-  Runtime RT(Cfg, Topology::amdMagnyCours48());
-  ParkLot &Lot = RT.parkLot();
-  for (unsigned V = 0; V < 16; ++V) {
-    if (RT.vproc(V).node() == 3)
-      continue;
-    for (int I = 0; I < 2; ++I)
-      RT.vproc(V).spawn(trivialTask());
-  }
-  // Make the would-be shedder deep enough that loaded nodes (depth 4)
-  // fail the starvation test (load * 2 >= depth) but an empty node 3
-  // passes it.
-  for (int I = 0; I < 16; ++I)
-    RT.vproc(0).spawn(trivialTask());
-
-  // Register waiters on both the empty node 3 and the loaded node 5:
-  // "most starved" must pick the empty one no matter which other nodes'
-  // workers happen to be parked at this instant (every loaded node
-  // carries board depth >= 4 and loses the min to node 3's 0).
-  ParkLot::Token Waiter3 = Lot.prepare(3);
-  ParkLot::Token Waiter5 = Lot.prepare(5);
-  for (int Trial = 0; Trial < 50; ++Trial)
-    EXPECT_EQ(RT.scheduler().pickShedTarget(RT.vproc(0)), 3u)
-        << "the most-starved parked node must win";
-  Lot.cancel(3, Waiter3);
-  Lot.cancel(5, Waiter5);
-  for (unsigned V = 0; V < 16; ++V)
-    while (RT.vproc(V).runOneLocal())
-      ;
-}
 
 TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
   Runtime RT(testRuntimeConfig(8), Topology::uniform(4, 2));
@@ -748,88 +593,12 @@ TEST(Rebalance, AdaptivePatienceStaysWithinBounds) {
   EXPECT_GT(Thief.schedStats().PatienceRaises, 0u);
 }
 
-TEST(Rebalance, ShedBatchFlowsToStarvedNode) {
-  // End-to-end: a skewed producer on node 0 bursts deep queues while
-  // node 1 idles; shed batches must arrive through node 1's bay and be
-  // claimed there. A pinned waiter on node 1 makes the target choice
-  // deterministic even when the real workers are mid-wake.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 16;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot::Token FakeWaiter = RT.parkLot().prepare(1);
-  static std::atomic<int> Remaining;
-  Remaining = 240;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        static JoinCounter Join;
-        for (int B = 0; B < 8; ++B) {
-          // Let workers drain and park between bursts.
-          std::this_thread::sleep_for(std::chrono::microseconds(500));
-          for (int I = 0; I < 30; ++I) {
-            Join.add();
-            VP.spawn({[](Runtime &, VProc &, Task) {
-                        Remaining.fetch_sub(1);
-                        Join.sub();
-                      },
-                      &Join, Value::nil(), 0, 0});
-          }
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-  RT.parkLot().cancel(1, FakeWaiter);
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_GT(S.TasksShed, 0u) << "deep bursts against an idle node must shed";
-  EXPECT_EQ(S.ShedTasksClaimed, S.TasksShed)
-      << "every shed task must be claimed (all work completed)";
-  EXPECT_GT(S.ShedBatches, 0u);
-  EXPECT_EQ(RT.parkLot().shedDepth(0), 0u);
-  EXPECT_EQ(RT.parkLot().shedDepth(1), 0u);
-}
-
-TEST(Rebalance, RemoteBayClaimUnlocksWithPatience) {
-  // Bay work conservation: a batch shed toward node 1 must be
-  // reachable by a node-0 vproc once its failed steal rounds pass one
-  // patience -- the rescue path for a batch whose target node went
-  // busy or blocked after the shed.
-  RuntimeConfig Cfg = testRuntimeConfig(4);
-  Cfg.ShedThreshold = 8;
-  Runtime RT(Cfg, Topology::uniform(2, 2));
-  ParkLot &Lot = RT.parkLot();
-  ParkLot::Token FakeWaiter = Lot.prepare(1);
-  for (int I = 0; I < 8; ++I)
-    RT.vproc(0).spawn(trivialTask());
-  Lot.cancel(1, FakeWaiter);
-  ASSERT_EQ(Lot.shedDepth(1), 4u);
-
-  // vproc 2 (node 0): own bay empty, no failed rounds yet -- the
-  // remote bay stays locked.
-  VProc &Rescuer = RT.vproc(2);
-  EXPECT_FALSE(RT.scheduler().claimShedAndRun(Rescuer));
-  EXPECT_EQ(Lot.shedDepth(1), 4u);
-
-  // Drain vproc 0 so every steal round genuinely fails, run the rounds
-  // out, and the remote bay opens on the same terms as remote victims.
-  while (RT.vproc(0).runOneLocal())
-    ;
-  bool Claimed = false;
-  for (int I = 0; I < 200 && !Claimed; ++I) {
-    RT.scheduler().stealAndRun(Rescuer);
-    Claimed = RT.scheduler().claimShedAndRun(Rescuer);
-  }
-  EXPECT_TRUE(Claimed) << "patience-expired vprocs must rescue remote bays";
-  EXPECT_EQ(Lot.shedDepth(1), 0u);
-  EXPECT_EQ(Rescuer.schedStats().ShedTasksClaimed, 4u);
-  while (Rescuer.runOneLocal())
-    ;
-}
-
-TEST(Rebalance, LoadBoardTeardownHammer) {
+TEST(Scheduler, QueueDepthTeardownHammer) {
   // The queueDepth lifetime protocol under TSan: external threads read
-  // the load board (and raw depths) continuously across run() epochs
-  // and the between-runs drain, stopping before ~Runtime -- the
-  // documented contract for any cross-thread depth reader.
+  // every vproc's depth counter -- the counter victim selection reads
+  // from other threads -- continuously across run() epochs and the
+  // between-runs drain, stopping before ~Runtime: the documented
+  // contract for any cross-thread depth reader.
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Reads{0};
@@ -838,8 +607,6 @@ TEST(Rebalance, LoadBoardTeardownHammer) {
     Readers.emplace_back([&] {
       uint64_t Sink = 0;
       while (!Stop.load(std::memory_order_acquire)) {
-        for (NodeId N = 0; N < 2; ++N)
-          Sink += RT.scheduler().nodeDepth(N);
         for (unsigned V = 0; V < 4; ++V)
           Sink += RT.vproc(V).queueDepth();
         Reads.fetch_add(1, std::memory_order_relaxed);
@@ -871,45 +638,6 @@ TEST(Rebalance, LoadBoardTeardownHammer) {
   for (std::thread &R : Readers)
     R.join();
   EXPECT_GT(Reads.load(), 0u);
-}
-
-TEST(Rebalance, ShedHammer) {
-  // Everything on at once -- shedding, batched steals, adaptive
-  // patience -- under an environment-carrying spawn storm: the TSan
-  // regression test for the publish/claim bay protocol and the
-  // Filled handshake, plus end-to-end env integrity.
-  RuntimeConfig Cfg = testRuntimeConfig(8);
-  Cfg.ShedThreshold = 8;
-  Runtime RT(Cfg, Topology::uniform(4, 2));
-
-  constexpr int Tasks = 600;
-  static std::atomic<int> Remaining;
-  Remaining = Tasks;
-  RT.run(
-      [](Runtime &, VProc &VP, void *) {
-        RootScope Scope(VP.heap());
-        static JoinCounter Join;
-        for (int I = 0; I < Tasks; ++I) {
-          Ref<> Env = Scope.root(makeIntList(VP.heap(), 8));
-          Join.add();
-          VP.spawn({[](Runtime &, VProc &, Task T) {
-                      EXPECT_EQ(listSum(T.Env), intListSum(8));
-                      Remaining.fetch_sub(1);
-                      Join.sub();
-                    },
-                    &Join, Env, 0, 0});
-        }
-        VP.joinWait(Join);
-      },
-      nullptr);
-
-  EXPECT_EQ(Remaining.load(), 0);
-  SchedStats S = RT.aggregateSchedStats();
-  EXPECT_EQ(S.ShedTasksClaimed, S.TasksShed)
-      << "a completed run leaves no shed task unclaimed";
-  EXPECT_EQ(S.TasksServiced, S.TasksStolen);
-  for (NodeId N = 0; N < 4; ++N)
-    EXPECT_EQ(RT.parkLot().shedDepth(N), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,14 +30,13 @@ using namespace manti::test;
 namespace {
 
 /// Two vprocs on one node: vproc 0 runs the test body (the victim),
-/// vproc 1 is the only thief. Shedding is off, so the spawned task can
-/// only leave vproc 0 through a steal handshake.
+/// vproc 1 is the only thief, so the spawned task can only leave vproc 0
+/// through its steal handshake.
 RuntimeConfig victimAndThief() {
   RuntimeConfig Cfg;
   Cfg.GC = smallConfig();
   Cfg.NumVProcs = 2;
   Cfg.PinThreads = false;
-  Cfg.ShedThreshold = 0;
   return Cfg;
 }
 
