@@ -215,7 +215,14 @@ Report manti::buildGCReport(GCWorld &World) {
   // any phase (GCStats::maxPauseNanos), broken down by what the global
   // collection spent it on. For a concurrent cycle, mark_us covers only
   // the stopped terminal re-mark -- the bulk of tracing overlaps
-  // mutation and never appears as pause.
+  // mutation and never appears as pause. safepoint_us is the longest
+  // stop-the-world time-to-safepoint (mutator time the others wait
+  // out), and safepoint_vproc the vproc that took it.
+  unsigned Slowest = 0;
+  for (unsigned I = 1; I < World.numVProcs(); ++I)
+    if (World.heap(I).Stats.GlobalSafepointWait.maxNanos() >
+        World.heap(Slowest).Stats.GlobalSafepointWait.maxNanos())
+      Slowest = I;
   R.section("pause")
       .metric("max_us", static_cast<double>(S.maxPauseNanos()) / 1e3,
               Report::Unit::Micros, "max (all phases)")
@@ -227,7 +234,12 @@ Report manti::buildGCReport(GCWorld &World) {
               Report::Unit::Micros, "max stopped mark")
       .metric("sweep_us",
               static_cast<double>(S.GlobalSweepPause.maxNanos()) / 1e3,
-              Report::Unit::Micros, "max sweep");
+              Report::Unit::Micros, "max sweep")
+      .metric("safepoint_us",
+              static_cast<double>(S.GlobalSafepointWait.maxNanos()) / 1e3,
+              Report::Unit::Micros, "max time-to-safepoint")
+      .metric("safepoint_vproc", static_cast<double>(Slowest),
+              Report::Unit::Count, "slowest vproc");
 
   ChunkManager &CM = World.chunks();
   R.section("global heap")

@@ -49,6 +49,11 @@ struct GCStats {
   DurationStat GlobalMarkPause;       ///< tracing the mutator waited on
   DurationStat GlobalSweepPause;      ///< sweep / from-space release
 
+  /// Time-to-safepoint of the stop-the-world collector: from the
+  /// request to this vproc's arrival in the collection. Mutator time,
+  /// not pause, so maxPauseNanos() leaves it out.
+  DurationStat GlobalSafepointWait;
+
   // Allocation volume.
   uint64_t BytesAllocatedLocal = 0;
   uint64_t BytesAllocatedGlobal = 0;
@@ -98,6 +103,7 @@ struct GCStats {
     GlobalRendezvousPause.merge(O.GlobalRendezvousPause);
     GlobalMarkPause.merge(O.GlobalMarkPause);
     GlobalSweepPause.merge(O.GlobalSweepPause);
+    GlobalSafepointWait.merge(O.GlobalSafepointWait);
     BytesAllocatedLocal += O.BytesAllocatedLocal;
     BytesAllocatedGlobal += O.BytesAllocatedGlobal;
     SizeClassHits += O.SizeClassHits;

@@ -283,6 +283,13 @@ private:
 } // namespace
 
 void GlobalCollection::participate(VProcHeap &H) {
+  // Time-to-safepoint: request to arrival. A vproc that saw the phase
+  // flip before the requester stamped it arrived at once (0 ns).
+  int64_t Arrival = DurationStat::Clock::now().time_since_epoch().count();
+  int64_t Requested = W.GlobalRequestNanos.load(std::memory_order_acquire);
+  H.Stats.GlobalSafepointWait.addSample(std::chrono::nanoseconds(
+      Requested == 0 ? 0 : Arrival - Requested));
+
   ScopedTimer Timer(H.Stats.GlobalPause);
 
   bool Leader;
@@ -343,6 +350,8 @@ void GlobalCollection::participate(VProcHeap &H) {
     for (auto &Heap : W.Heaps)
       Heap->GlobalAllocSinceCycle.store(0, std::memory_order_relaxed);
     W.GlobalGCsCompleted.fetch_add(1, std::memory_order_relaxed);
+    // Every vproc read the stamp on arrival, before the first barrier.
+    W.GlobalRequestNanos.store(0, std::memory_order_relaxed);
     W.Phase.store(GCPhase::Idle, std::memory_order_release);
     // Completion rings the broadcast doorbell too: anything parked on
     // "no collection pending" (the runtime's between-runs drain wait)

@@ -93,6 +93,9 @@ void GCWorld::requestGlobalGC() {
   if (!Phase.compare_exchange_strong(Expected, GCPhase::StwPending,
                                      std::memory_order_acq_rel))
     return; // a collection (either flavor) is already pending or running
+  GlobalRequestNanos.store(
+      DurationStat::Clock::now().time_since_epoch().count(),
+      std::memory_order_release);
   // Section 3.4, step 2: signal every vproc by zeroing its allocation
   // limit; each enters the collector at its next safe point.
   for (auto &H : Heaps)

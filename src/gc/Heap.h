@@ -515,7 +515,9 @@ public:
   /// to StwPending and zeroes every vproc's allocation limit (Section
   /// 3.4, steps 1-2), then invokes the wakeup hook so parked vprocs
   /// reach their safe points immediately. No-op when any collection is
-  /// already pending or running.
+  /// already pending or running. The winning request stamps its time,
+  /// from which each vproc's time-to-safepoint is measured
+  /// (GCStats::GlobalSafepointWait).
   void requestGlobalGC();
 
   /// Starts a mostly-concurrent mark cycle: flips the phase word to
@@ -675,6 +677,11 @@ private:
   std::atomic<GCPhase> Phase{GCPhase::Idle};
   std::atomic<bool> SatbActive{false};
   std::atomic<uint64_t> GlobalGCsCompleted{0};
+  /// When the pending stop-the-world collection was requested, in
+  /// steady-clock nanoseconds; 0 until the winning requester stamps it
+  /// and again once the collection completes. Each participant's
+  /// arrival minus this is its time-to-safepoint.
+  std::atomic<int64_t> GlobalRequestNanos{0};
   std::atomic<uint64_t> ConcurrentGCsCompleted{0};
   std::atomic<uint64_t> GlobalGCThreshold;
   /// Active bytes at the end of the last completed global collection --

@@ -47,25 +47,49 @@ Value sortLeaf(VProc &VP, Value R) {
   return rope::fromArray(VP.heap(), Buf.data(), N);
 }
 
+/// Elements per flat partition pass. Above it, the filter forks over
+/// the rope's children, so no vproc runs a flat pass (a stretch with no
+/// allocation and no safe point) over more than this many elements.
+constexpr int64_t PartGrain = 64 * 1024;
+static_assert(PartGrain >= rope::LeafElems,
+              "a rope longer than the grain must be an interior node");
+
 /// The three ropes of one partition step, rooted in the caller's scope.
 struct Partition {
   Ref<> Less, Equal, Greater;
 };
 
-/// NESL-style three-way partition of the \p N-element rope \p R on a
-/// median-of-three pivot, done in place in one flat buffer. The buffer
-/// (8*N bytes) dies on return, before the caller forks: kept alive
-/// across the recursive sort and the join, every level of every vproc's
-/// recursion spine would hold one.
-Partition partition(RootScope &S, Value R, int64_t N) {
+Partition partition(RootScope &S, Runtime &RT, VProc &VP, Value R,
+                    int64_t Pivot);
+
+/// Shared state for one spawned right-child partition.
+struct PartSplit {
+  PartSplit(VProc &Owner, int64_t Pivot)
+      : Pivot(Pivot), Less(Owner), Equal(Owner), Greater(Owner) {}
+  int64_t Pivot;
+  ResultCell Less, Equal, Greater;
+  JoinCounter Join{1};
+};
+
+void partitionTask(Runtime &RT, VProc &VP, Task T) {
+  auto &Split = *static_cast<PartSplit *>(T.Ctx);
+  RootScope S(VP.heap());
+  Partition P = partition(S, RT, VP, T.Env, Split.Pivot);
+  Split.Less.fill(VP, P.Less);
+  Split.Equal.fill(VP, P.Equal);
+  Split.Greater.fill(VP, P.Greater);
+  Split.Join.sub();
+}
+
+/// Flat three-way partition of the \p N-element rope \p R (N at most
+/// the grain), done in place in one buffer. The buffer (8*N bytes, so
+/// at most 512 KiB) dies on return, before the caller joins or forks:
+/// kept alive across the join and the recursive sort, every level of
+/// every vproc's recursion spine would hold one.
+Partition partitionFlat(RootScope &S, Value R, int64_t N, int64_t Pivot) {
   std::vector<uint64_t> Buf(static_cast<std::size_t>(N));
   rope::toArray(R, Buf.data());
   auto AsInt = [](uint64_t W) { return static_cast<int64_t>(W); };
-  int64_t A = AsInt(Buf.front());
-  int64_t B = AsInt(Buf[static_cast<std::size_t>(N / 2)]);
-  int64_t C = AsInt(Buf.back());
-  int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
-
   auto Lt = std::partition(Buf.begin(), Buf.end(),
                            [&](uint64_t W) { return AsInt(W) < Pivot; });
   auto Gt = std::partition(Lt, Buf.end(),
@@ -81,6 +105,34 @@ Partition partition(RootScope &S, Value R, int64_t N) {
                           N - NumLess - NumEqual)};
 }
 
+/// NESL-style three-way filter of rope \p R around \p Pivot, in
+/// parallel over the rope's own tree: above the grain, the right child
+/// is spawned as a task whose environment is that subrope (a steal
+/// promotes it), the left child is filtered here, and the halves'
+/// ropes are concatenated pairwise.
+Partition partition(RootScope &S, Runtime &RT, VProc &VP, Value R,
+                    int64_t Pivot) {
+  int64_t N = rope::length(R);
+  if (N <= PartGrain)
+    return partitionFlat(S, R, N, Pivot);
+
+  // Read both children before anything allocates.
+  using Node = ObjectType<RopeNode>;
+  Value Right = Node::get<&RopeNode::Right>(R);
+  Ref<> Left = S.root(Node::get<&RopeNode::Left>(R));
+
+  PartSplit Split(VP, Pivot);
+  VP.spawn({partitionTask, &Split, Right, 0, 0});
+  Partition L = partition(S, RT, VP, Left, Pivot);
+  VP.joinWait(Split.Join);
+  Ref<> Less = S.root(Split.Less.take());
+  Ref<> Equal = S.root(Split.Equal.take());
+  Ref<> Greater = S.root(Split.Greater.take());
+
+  return {rope::concat(S, L.Less, Less), rope::concat(S, L.Equal, Equal),
+          rope::concat(S, L.Greater, Greater)};
+}
+
 } // namespace
 
 Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
@@ -89,8 +141,13 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
   if (N <= Cutoff)
     return sortLeaf(VP, R);
 
+  int64_t A = rope::getInt(R, 0);
+  int64_t B = rope::getInt(R, N / 2);
+  int64_t C = rope::getInt(R, N - 1);
+  int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
+
   RootScope S(VP.heap());
-  Partition P = partition(S, R, N);
+  Partition P = partition(S, RT, VP, R, Pivot);
 
   // Fork: sort the greater partition as a stealable task whose
   // environment is the rope itself; sort the lesser partition here.
@@ -102,6 +159,12 @@ Value manti::workloads::quicksort(Runtime &RT, VProc &VP, Value R,
   VP.joinWait(Split.Join);
   Ref<> SortedGreater = S.root(Cell.take());
 
+  // Join the shallower pair first, so each recursion level adds one
+  // spine level and concat never hits its depth budget's serial rebuild.
+  if (rope::depth(SortedLess) >= rope::depth(SortedGreater)) {
+    Ref<> Back = rope::concat(S, P.Equal, SortedGreater);
+    return rope::concat(VP.heap(), SortedLess, Back);
+  }
   Ref<> Front = rope::concat(S, SortedLess, P.Equal);
   return rope::concat(VP.heap(), Front, SortedGreater);
 }

@@ -14,6 +14,15 @@
 /// rope, so a steal promotes the partition to the global heap -- the
 /// lazy-promotion path the runtime is designed around.
 ///
+/// The partition is NESL's parallel filter, forked over the rope's own
+/// tree: above a grain of 64K elements, the filter of a node's right
+/// child is spawned the same way (its environment is the subrope, so a
+/// steal promotes it), the left child is filtered in place, and the two
+/// halves' (less, equal, greater) ropes are concatenated pairwise. Only
+/// ropes within the grain are partitioned by a flat pass, so no vproc
+/// runs a long stretch without allocating or polling -- which would
+/// hold up a global-collection rendezvous or a waiting thief.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MANTI_WORKLOADS_QUICKSORT_H

@@ -249,6 +249,37 @@ TEST(GlobalGCParallel, MixedLocalAndGlobalLiveData) {
   verifyWorld(TW.World);
 }
 
+namespace {
+constexpr uint64_t ForcedCollections = 5;
+} // namespace
+
+TEST(GlobalGCParallel, EveryVProcRecordsItsTimeToSafepoint) {
+  TestWorld TW(4, smallConfig(), Topology::uniform(2, 2));
+
+  // vproc 0 forces the collections one after another; the others sit in
+  // runOnVProcs' safe-point loop and join each one.
+  runOnVProcs(TW.World, [](VProcHeap &H) {
+    if (H.id() != 0)
+      return;
+    GCWorld &W = H.world();
+    for (uint64_t I = 1; I <= ForcedCollections; ++I) {
+      W.requestGlobalGC();
+      while (W.globalGCCount() < I) {
+        H.safePoint();
+        std::this_thread::yield();
+      }
+    }
+  });
+
+  ASSERT_EQ(TW.World.globalGCCount(), ForcedCollections);
+  for (unsigned I = 0; I < 4; ++I)
+    EXPECT_EQ(TW.heap(I).Stats.GlobalSafepointWait.count(), ForcedCollections)
+        << "vproc " << I;
+  GCStats Total = TW.World.aggregateStats();
+  EXPECT_EQ(Total.GlobalSafepointWait.count(), 4 * ForcedCollections);
+  verifyWorld(TW.World);
+}
+
 //===----------------------------------------------------------------------===//
 // Mostly-concurrent marking (GCConfig::ConcurrentGlobal)
 //===----------------------------------------------------------------------===//

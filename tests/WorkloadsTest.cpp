@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -149,6 +150,71 @@ TEST(QuicksortWL, RunQuicksortSubsortsAreStolen) {
   for (unsigned I = 1; I < RT.numVProcs(); ++I)
     Sorters += RT.vproc(I).stealsOut() > 0;
   EXPECT_GE(Sorters, 2u);
+}
+
+namespace {
+
+/// Quicksort.cpp's flat-pass grain: partitions of longer ropes fork.
+constexpr int64_t PartitionGrain = 64 * 1024;
+
+struct GrainSortCase {
+  std::vector<uint64_t> Input;
+  bool Sorted = false;
+  int64_t Length = 0;
+  uint64_t Sum = 0;
+};
+
+void sortGrainCase(Runtime &RT, VProc &VP, void *Ctx) {
+  auto &Case = *static_cast<GrainSortCase *>(Ctx);
+  RootScope S(VP.heap());
+  Ref<> In = rope::fromArray(S, Case.Input.data(),
+                             static_cast<int64_t>(Case.Input.size()));
+  Ref<> Out = S.root(quicksort(RT, VP, In, 2048));
+  Case.Length = rope::length(Out);
+  std::vector<uint64_t> Buf(static_cast<std::size_t>(Case.Length));
+  rope::toArray(Out, Buf.data());
+  Case.Sorted = std::is_sorted(Buf.begin(), Buf.end(),
+                               [](uint64_t A, uint64_t B) {
+                                 return static_cast<int64_t>(A) <
+                                        static_cast<int64_t>(B);
+                               });
+  for (uint64_t W : Buf)
+    Case.Sum += W;
+}
+
+} // namespace
+
+TEST(QuicksortWL, ParallelPartitionAboveGrain) {
+  // Inputs of three grains, so every partition above the leaves forks
+  // over rope children and a thief can take a right-child filter.
+  Runtime RT(wlConfig(4), Topology::uniform(2, 2));
+  const auto N = static_cast<std::size_t>(3 * PartitionGrain);
+  XorShift64 Rng(17);
+  std::vector<uint64_t> Random(N), Duplicates(N), AllEqual(N, 42), Ascending(N);
+  for (std::size_t I = 0; I < N; ++I) {
+    Random[I] = Rng.next() >> 8;
+    Duplicates[I] = Rng.next() % 5; // Equal ropes span grains
+    Ascending[I] = I;
+  }
+  const std::pair<const char *, std::vector<uint64_t> *> Cases[] = {
+      {"random", &Random},
+      {"duplicates", &Duplicates},
+      {"all-equal", &AllEqual},
+      {"ascending", &Ascending}};
+  for (const auto &[Name, Input] : Cases) {
+    GrainSortCase Case{*Input};
+    RT.run(&sortGrainCase, &Case);
+    uint64_t Sum = 0;
+    for (uint64_t W : *Input)
+      Sum += W;
+    EXPECT_TRUE(Case.Sorted) << Name;
+    EXPECT_EQ(Case.Length, static_cast<int64_t>(N)) << Name;
+    EXPECT_EQ(Case.Sum, Sum) << Name;
+    if (Input == &Random) {
+      EXPECT_GT(RT.aggregateSchedStats().TasksStolen, 0u) << Name;
+    }
+    verifyWorld(RT.world());
+  }
 }
 
 //===----------------------------------------------------------------------===//
