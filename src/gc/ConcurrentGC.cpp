@@ -358,11 +358,7 @@ void ConcurrentMark::terminalRendezvous(VProcHeap &H) {
         Pinned.push_back(Heap->CurChunk);
     uint64_t Freed = W.Chunks.sweepUnmarked(Cycle, Pinned);
     uint64_t Live = W.Chunks.activeBytes();
-    uint64_t Base = static_cast<uint64_t>(W.Config.GlobalGCBytesPerVProc) *
-                    W.numVProcs();
-    W.GlobalGCThreshold.store(std::max(Base, 2 * Live),
-                              std::memory_order_relaxed);
-    W.GlobalLiveBytes.store(Live, std::memory_order_relaxed);
+    W.noteLiveAfterCollection(Live);
     for (auto &Heap : W.Heaps)
       Heap->GlobalAllocSinceCycle.store(0, std::memory_order_relaxed);
     W.GlobalGCsCompleted.fetch_add(1, std::memory_order_relaxed);

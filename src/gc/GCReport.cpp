@@ -209,7 +209,9 @@ Report manti::buildGCReport(GCWorld &World) {
       .metric("completed", static_cast<double>(World.globalGCCount()),
               Report::Unit::Count, "completed collections")
       .metric("concurrent", static_cast<double>(World.concurrentGCCount()),
-              Report::Unit::Count, "concurrent cycles");
+              Report::Unit::Count, "concurrent cycles")
+      .metric("peak_live_bytes", static_cast<double>(World.peakLiveBytes()),
+              Report::Unit::Bytes, "peak live after a collection");
 
   // The serving-workload headline: the longest single mutator pause of
   // any phase (GCStats::maxPauseNanos), broken down by what the global

@@ -339,14 +339,8 @@ void GlobalCollection::participate(VProcHeap &H) {
         W.Chunks.releaseChunk(C);
       }
     }
-    // Adapt the trigger so a nearly-live heap does not thrash: at least
-    // the configured budget, and at least twice the surviving data.
     uint64_t Live = W.Chunks.activeBytes();
-    uint64_t Base = static_cast<uint64_t>(W.Config.GlobalGCBytesPerVProc) *
-                    W.numVProcs();
-    W.GlobalGCThreshold.store(std::max(Base, 2 * Live),
-                              std::memory_order_relaxed);
-    W.GlobalLiveBytes.store(Live, std::memory_order_relaxed);
+    W.noteLiveAfterCollection(Live);
     for (auto &Heap : W.Heaps)
       Heap->GlobalAllocSinceCycle.store(0, std::memory_order_relaxed);
     W.GlobalGCsCompleted.fetch_add(1, std::memory_order_relaxed);

@@ -136,6 +136,17 @@ NodeId GCWorld::homeNodeOf(Value V, NodeId Fallback) {
   return Chunks.chunkOf(P)->HomeNode;
 }
 
+void GCWorld::noteLiveAfterCollection(uint64_t Live) {
+  // Adapt the trigger so a nearly-live heap does not thrash: at least
+  // the configured budget, and at least twice the surviving data.
+  uint64_t Base =
+      static_cast<uint64_t>(Config.GlobalGCBytesPerVProc) * numVProcs();
+  GlobalGCThreshold.store(std::max(Base, 2 * Live), std::memory_order_relaxed);
+  GlobalLiveBytes.store(Live, std::memory_order_relaxed);
+  if (Live > PeakLiveBytes.load(std::memory_order_relaxed))
+    PeakLiveBytes.store(Live, std::memory_order_relaxed);
+}
+
 GCStats GCWorld::aggregateStats() const {
   GCStats Total;
   for (const auto &H : Heaps)

@@ -629,6 +629,12 @@ public:
     return GlobalGCThreshold.load(std::memory_order_relaxed);
   }
 
+  /// The largest live size (active global-heap bytes) left after any
+  /// completed global collection; 0 before the first.
+  uint64_t peakLiveBytes() const {
+    return PeakLiveBytes.load(std::memory_order_relaxed);
+  }
+
   /// Aggregated statistics across all vprocs.
   GCStats aggregateStats() const;
 
@@ -664,6 +670,10 @@ private:
   friend class GlobalCollection;
   friend class ConcurrentMark;
 
+  /// Leader-only, at the end of a global collection of either flavor:
+  /// records the \p Live bytes it left and adapts the trigger to them.
+  void noteLiveAfterCollection(uint64_t Live);
+
   GCConfig Config;
   Topology Topo;
   ObjectDescriptorTable Descs;
@@ -687,6 +697,8 @@ private:
   /// Active bytes at the end of the last completed global collection --
   /// the live-estimate base the watermark trigger projects from.
   std::atomic<uint64_t> GlobalLiveBytes{0};
+  /// The largest GlobalLiveBytes any collection has left.
+  std::atomic<uint64_t> PeakLiveBytes{0};
   Barrier GCBarrier;
   std::unique_ptr<GlobalCollection, GlobalCollectionDeleter> GCState;
   std::unique_ptr<ConcurrentMark, ConcurrentMarkDeleter> CMState;

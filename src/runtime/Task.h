@@ -109,8 +109,15 @@ public:
   /// Called by the producing task (any vproc, exactly once).
   void fill(VProc &Producer, Value V);
 
-  /// Read by the owner after the corresponding join completes.
-  Value take() const { return Value::fromBits(Bits); }
+  /// Moves the value out to the owner after the corresponding join
+  /// completes and clears the cell, so the value stays rooted only where
+  /// the caller roots it (at once: the next allocation may collect).
+  /// A second take() returns nil.
+  Value take() {
+    Value V = Value::fromBits(Bits);
+    Bits = Value::nil().bits();
+    return V;
+  }
 
   /// Root-enumeration hooks (owner thread only).
   bool filled() const { return Filled.load(std::memory_order_acquire); }

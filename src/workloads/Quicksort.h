@@ -21,7 +21,15 @@
 /// halves' (less, equal, greater) ropes are concatenated pairwise. Only
 /// ropes within the grain are partitioned by a flat pass, so no vproc
 /// runs a long stretch without allocating or polling -- which would
-/// hold up a global-collection rendezvous or a waiting thief.
+/// hold up a global-collection rendezvous or a waiting thief. The flat
+/// pass is one branch-free filter over the rope's leaves: each element
+/// is written at a front and a back cursor, only its side's cursor
+/// advances, and the gap left between them is filled with the pivot.
+///
+/// Like Manticore's compiled code, which roots only live variables, the
+/// sort clears each rope's root once the rope lives on elsewhere -- in
+/// its partition, a spawned task, or a copy -- so global collections do
+/// not copy dead ropes.
 ///
 //===----------------------------------------------------------------------===//
 

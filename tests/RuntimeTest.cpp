@@ -209,6 +209,38 @@ TEST(ParallelReduce, BuildsValueTree) {
   EXPECT_EQ(Sum, int64_t(3000) * 2999 / 2);
 }
 
+TEST(ResultCell, TakeMovesTheValueOut) {
+  // take() hands the result to its caller and clears the cell, so the
+  // cell no longer roots it: a second take() finds nil.
+  Runtime RT(testRuntimeConfig(2), Topology::uniform(2, 1));
+  static int64_t FirstSum;
+  static bool SecondNil;
+  RT.run(
+      [](Runtime &, VProc &VP, void *) {
+        struct Split {
+          ResultCell *Cell;
+          JoinCounter Join{1};
+        };
+        ResultCell Cell(VP);
+        Split S{&Cell};
+        VP.spawn({[](Runtime &, VProc &VP, Task T) {
+                    auto &S = *static_cast<Split *>(T.Ctx);
+                    S.Cell->fill(VP, cons(VP.heap(), Value::fromInt(7),
+                                          Value::nil()));
+                    S.Join.sub();
+                  },
+                  &S, Value::nil(), 0, 0});
+        VP.joinWait(S.Join);
+        RootScope Scope(VP.heap());
+        Ref<> First = Scope.root(Cell.take());
+        FirstSum = listSum(First);
+        SecondNil = Cell.take().isNil();
+      },
+      nullptr);
+  EXPECT_EQ(FirstSum, 7);
+  EXPECT_TRUE(SecondNil);
+}
+
 TEST(WorkStealing, StealsHappenAcrossVProcs) {
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   static std::atomic<int> Remaining;
