@@ -10,8 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 // This bench measures the *raw* allocation paths beneath the handle
-// layer (the same surface the collectors use), so it opts into the
-// internal API deliberately.
+// layer, so it opts into the internal mixed allocator deliberately.
+// Roots go through RootScope like everywhere else.
 #define MANTI_GC_INTERNAL 1
 
 #include "gc/Handles.h"
@@ -37,15 +37,14 @@ GCConfig benchConfig() {
 }
 
 Value makeList(VProcHeap &H, int64_t N) {
-  GcFrame Frame(H);
-  Value List = Value::nil();
-  Frame.root(List);
+  RootScope Frame(H);
+  Value &List = Frame.slot(Value::nil());
   for (int64_t I = 0; I < N; ++I) {
-    Value Elems[2] = {Value::fromInt(I), List};
-    GcFrame Inner(H);
-    Inner.root(Elems[0]);
-    Inner.root(Elems[1]);
-    List = H.allocVector(Elems, 2);
+    // A fresh scope's first slots are contiguous: [head, tail].
+    RootScope Inner(H);
+    Value &Head = Inner.slot(Value::fromInt(I));
+    Inner.slot(List);
+    List = H.allocVector(&Head, 2);
   }
   return List;
 }
@@ -73,8 +72,8 @@ static void BM_MinorGC(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   int64_t LiveCells = State.range(0);
   for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Live = Frame.root(makeList(H, LiveCells));
+    RootScope Frame(H);
+    Value &Live = Frame.slot(makeList(H, LiveCells));
     H.minorGC();
     benchmark::DoNotOptimize(Live);
   }
@@ -89,8 +88,8 @@ static void BM_MajorGC(benchmark::State &State) {
   int64_t Cells = State.range(0);
   for (auto _ : State) {
     State.PauseTiming();
-    GcFrame Frame(H);
-    Value &List = Frame.root(makeList(H, Cells));
+    RootScope Frame(H);
+    Value &List = Frame.slot(makeList(H, Cells));
     H.minorGC();
     H.minorGC(); // age the data into the old area
     State.ResumeTiming();
@@ -109,8 +108,8 @@ static void BM_Promotion(benchmark::State &State) {
   int64_t Cells = State.range(0);
   for (auto _ : State) {
     State.PauseTiming();
-    GcFrame Frame(H);
-    Value &List = Frame.root(makeList(H, Cells));
+    RootScope Frame(H);
+    Value &List = Frame.slot(makeList(H, Cells));
     State.ResumeTiming();
     Value P = H.promote(List);
     benchmark::DoNotOptimize(P);
@@ -124,8 +123,8 @@ static void BM_GlobalGC(benchmark::State &State) {
   GCConfig Cfg = benchConfig();
   GCWorld World(Cfg, Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
-  GcFrame Frame(H);
-  Value &Live = Frame.root(makeList(H, State.range(0)));
+  RootScope Frame(H);
+  Value &Live = Frame.slot(makeList(H, State.range(0)));
   Live = H.promote(Live);
   for (auto _ : State) {
     World.requestGlobalGC();
@@ -146,8 +145,8 @@ static void BM_ConcurrentGlobalGC(benchmark::State &State) {
   Cfg.ConcurrentGlobal = true;
   GCWorld World(Cfg, Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
-  GcFrame Frame(H);
-  Value &Live = Frame.root(makeList(H, State.range(0)));
+  RootScope Frame(H);
+  Value &Live = Frame.slot(makeList(H, State.range(0)));
   Live = H.promote(Live);
   for (auto _ : State) {
     World.startConcurrentMark();
@@ -168,8 +167,8 @@ static void BM_MixedObjectScan(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   int64_t Chain = State.range(0);
   for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Root = Frame.root(Value::nil());
+    RootScope Frame(H);
+    Value &Root = Frame.slot(Value::nil());
     for (int64_t I = 0; I < Chain; ++I) {
       Word Fields[4] = {Root.bits(), Root.bits(), 7, 9};
       Value *Slots[2] = {&Root, &Root};
@@ -188,12 +187,10 @@ static void BM_VectorAlloc(benchmark::State &State) {
   GCWorld World(benchConfig(), Topology::singleNode(1), 1);
   VProcHeap &H = World.heap(0);
   std::size_t N = static_cast<std::size_t>(State.range(0));
+  // Tagged ints never move, so the element array needs no root.
   Value Elems[16] = {};
-  GcFrame Frame(H);
-  for (std::size_t I = 0; I < N; ++I) {
+  for (std::size_t I = 0; I < N; ++I)
     Elems[I] = Value::fromInt(static_cast<int64_t>(I));
-    Frame.root(Elems[I]);
-  }
   for (auto _ : State) {
     Value V = H.allocVector(Elems, N);
     benchmark::DoNotOptimize(V);
@@ -233,8 +230,8 @@ static void BM_MinorScanPrefetchOn(benchmark::State &State) {
   VProcHeap &H = World.heap(0);
   int64_t LiveCells = State.range(0);
   for (auto _ : State) {
-    GcFrame Frame(H);
-    Value &Live = Frame.root(makeList(H, LiveCells));
+    RootScope Frame(H);
+    Value &Live = Frame.slot(makeList(H, LiveCells));
     H.minorGC();
     benchmark::DoNotOptimize(Live);
   }

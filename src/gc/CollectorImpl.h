@@ -63,11 +63,12 @@ inline void forEachPtrField(Word *Obj, Word Hdr,
   }
 }
 
-/// Applies \p Fn to every root slot of vproc \p H: the shadow stack, the
-/// payload slots of this vproc's unresolved proxies, and whatever extra
-/// roots the runtime registered (scheduler queues, mailboxes).
+/// Applies \p Fn to every root slot of vproc \p H: its RootScope slabs
+/// and lifetime roots, the payload slots of this vproc's unresolved
+/// proxies, and whatever extra roots the runtime registered (scheduler
+/// queues, mailboxes).
 template <typename FnT> inline void forEachVProcRoot(VProcHeap &H, FnT Fn) {
-  for (Value *Slot : H.ShadowStack)
+  for (Value *Slot : H.lifetimeRoots())
     Fn(reinterpret_cast<Word *>(Slot));
   // RootScope slot slabs: each live scope registered whole slabs rather
   // than individual slots, so enumeration walks the occupied prefix of

@@ -19,7 +19,7 @@
 ///   chunks), the leader stamps every active chunk with the cycle
 ///   number and its allocation snapshot (Chunk::beginMark) and arms the
 ///   deletion barrier, then each vproc pushes the *values* of its roots
-///   -- shadow stack, proxy table, runtime extras, and every global
+///   -- root slots, proxy table, runtime extras, and every global
 ///   reference found by walking its local heap -- onto the shared gray
 ///   stack. Nothing is moved and no slot is rewritten. The leader marks
 ///   the process-wide roots, flips the phase to ConcMark, and asks the
@@ -239,7 +239,7 @@ bool ConcurrentMark::markStep(VProcHeap &H, unsigned Budget) {
   return DidWork;
 }
 
-/// Pushes the values of \p H's roots: shadow stack, proxy objects and
+/// Pushes the values of \p H's roots: root slots, proxy objects and
 /// their payload slots, runtime extras, and -- when \p WalkLocalHeap --
 /// every global reference held by the (husk-free, post-major) local
 /// heap. Values are only read, never rewritten: nothing moves.

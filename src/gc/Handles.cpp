@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-// The handle layer is one of the two sanctioned users of the raw
-// Value-level mixed allocator (the other being the collectors).
+// The handle layer is the sanctioned user of the raw Value-level mixed
+// allocator: alloc<T> reaches it only through this TU.
 #define MANTI_GC_INTERNAL 1
 
 #include "gc/Handles.h"
@@ -30,17 +30,8 @@ MANTI_NOINLINE void RootScope::growSlab() {
   Cur = Slab;
 }
 
-Value manti::detail::allocMixedViaSlots(VProcHeap &H, uint16_t Id,
-                                        const Word *RawFields,
-                                        Value *const *PtrFieldSlots,
-                                        unsigned NumSlots) {
-  // Register the caller's slot array on the shadow stack for the span of
-  // the allocation: a collection triggered by it forwards the slots, and
-  // allocMixedRooted re-reads them into the new object's pointer fields.
-  std::size_t Mark = H.ShadowStack.size();
-  for (unsigned I = 0; I < NumSlots; ++I)
-    H.ShadowStack.push_back(PtrFieldSlots[I]);
-  Value V = gcinternal::allocMixedRooted(H, Id, RawFields, PtrFieldSlots);
-  H.ShadowStack.resize(Mark);
-  return V;
+Value manti::detail::allocMixedRooted(VProcHeap &H, uint16_t Id,
+                                      const Word *RawFields,
+                                      Value *const *PtrFieldSlots) {
+  return gcinternal::allocMixedRooted(H, Id, RawFields, PtrFieldSlots);
 }

@@ -7,13 +7,15 @@
 /// \file
 /// The public mutator-facing allocation surface. The collector's strict
 /// rooting discipline (every Value live across an allocation must sit in
-/// a registered shadow-stack slot) is enforced here *by construction*
-/// instead of by caller care:
+/// a registered root slot) is enforced here *by construction* instead of
+/// by caller care:
 ///
-///  * RootScope -- an RAII shadow-stack frame that owns handle storage.
-///    Opening a scope marks the vproc's shadow stack; destroying it pops
-///    every slot the scope created. Scopes nest like the C++ stack and
-///    must be destroyed in LIFO order on the owning vproc's thread.
+///  * RootScope -- an RAII root frame that owns handle storage, and the
+///    only way to root a value for a scope (the collectors, runtime,
+///    tests and benches use it too). Opening a scope registers its slot
+///    slab with the vproc; destroying it drops every slot the scope
+///    created. Scopes nest like the C++ stack and must be destroyed in
+///    LIFO order on the owning vproc's thread.
 ///
 ///  * Ref<T> / Ref<Object> -- handles to rooted slots. A collection
 ///    triggered by any allocation transparently updates the slot, so a
@@ -26,9 +28,8 @@
 ///    heap object; ObjectType<T> registers the ObjectDescriptor scan
 ///    function from that spec and generates typed field accessors
 ///    (Ref<T>::get<&T::Member>()) plus a safe alloc<T>() that roots its
-///    pointer arguments automatically, so neither allocMixed's stale-
-///    pointer footgun nor allocMixedRooted's slot gymnastics survive in
-///    mutator code.
+///    pointer arguments automatically, so allocMixedRooted's slot
+///    gymnastics never reach mutator code.
 ///
 /// Usage:
 /// \code
@@ -48,9 +49,9 @@
 ///   Ref<ListNode> G = promote(S, N);            // still typed, re-rooted
 /// \endcode
 ///
-/// The raw Value-level allocators (gcinternal::allocMixed and friends,
-/// gc/HeapInternal.h) are the internal surface beneath this layer; only
-/// the collectors and this file's own TU may include that header.
+/// The raw mixed allocator (gcinternal::allocMixedRooted,
+/// gc/HeapInternal.h) is the internal surface beneath this layer; only
+/// MANTI_GC_INTERNAL translation units may include that header.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,30 +78,12 @@ class RootScope;
 
 namespace detail {
 
-/// Registers \p Slots (rooted Value slots in descriptor offset order) on
-/// the shadow stack for the duration of a mixed allocation, then calls
-/// the internal allocMixedRooted. Lives in Handles.cpp so the raw
-/// allocator (gc/HeapInternal.h) is touched only from the handle
-/// layer's own TU.
-Value allocMixedViaSlots(VProcHeap &H, uint16_t Id, const Word *RawFields,
-                         Value *const *PtrFieldSlots, unsigned NumSlots);
-
-/// Temporarily roots \p Slots[0..N) while a value-taking allocator runs.
-class ScopedSlotRoots {
-public:
-  ScopedSlotRoots(VProcHeap &H, Value *Slots, std::size_t N) : H(H), N(N) {
-    for (std::size_t I = 0; I < N; ++I)
-      H.ShadowStack.push_back(&Slots[I]);
-  }
-  ~ScopedSlotRoots() { H.ShadowStack.resize(H.ShadowStack.size() - N); }
-
-  ScopedSlotRoots(const ScopedSlotRoots &) = delete;
-  ScopedSlotRoots &operator=(const ScopedSlotRoots &) = delete;
-
-private:
-  VProcHeap &H;
-  std::size_t N;
-};
+/// Calls the internal gcinternal::allocMixedRooted: \p PtrFieldSlots
+/// are rooted slots in descriptor offset order, re-read after the
+/// allocation. Lives in Handles.cpp so the raw allocator
+/// (gc/HeapInternal.h) is touched only from the handle layer's own TU.
+Value allocMixedRooted(VProcHeap &H, uint16_t Id, const Word *RawFields,
+                       Value *const *PtrFieldSlots);
 
 /// Byte offset of member \p M within T, in 8-byte words. Member-pointer
 /// offsets are not constexpr-accessible portably, so a static probe
@@ -231,20 +214,18 @@ private:
 // RootScope
 //===----------------------------------------------------------------------===//
 
-/// An RAII shadow-stack frame that owns handle storage. All handles
-/// created through a scope live in fixed-capacity slot slabs the scope
-/// owns: one embedded inline, overflow slabs chained from the heap's
-/// recycling list. The slabs themselves are registered with the
-/// collectors (VProcHeap::SlabStack, enumerated by forEachVProcRoot), so
-/// creating a slot is one slab store -- no per-slot ShadowStack push --
-/// and the destructor deregisters the whole frame wholesale. Slabs never
-/// move while registered, so handle slot addresses stay stable no matter
-/// how many slots a scope grows. Subsumes the old GcFrame.
+/// An RAII root frame that owns handle storage. All handles created
+/// through a scope live in fixed-capacity slot slabs the scope owns: one
+/// embedded inline, overflow slabs chained from the heap's recycling
+/// list. The slabs themselves are registered with the collectors
+/// (VProcHeap::SlabStack, enumerated by forEachVProcRoot), so creating a
+/// slot is one slab store, and the destructor deregisters the whole
+/// frame wholesale. Slabs never move while registered, so handle slot
+/// addresses stay stable no matter how many slots a scope grows.
 class RootScope {
 public:
   explicit RootScope(VProcHeap &Heap)
-      : Heap(Heap), Mark(Heap.ShadowStack.size()),
-        SlabMark(Heap.SlabStack.size()),
+      : Heap(Heap), SlabMark(Heap.SlabStack.size()),
         PrevSatbHeap(gcdetail::CurrentSatbHeap), Cur(&Inline) {
     // Publish the heap for the handle layer's deletion barrier
     // (satbRecordOverwrite in gc/Heap.h): scopes nest LIFO on one vproc
@@ -258,14 +239,15 @@ public:
     gcdetail::CurrentSatbHeap = PrevSatbHeap;
     // Recycle this scope's overflow slabs (everything above the inline
     // slab at SlabMark; nesting is LIFO, so they are all ours), then pop
-    // the whole frame in one resize each.
+    // the whole frame in one resize.
     auto &Slabs = Heap.SlabStack;
+    assert(SlabMark < Slabs.size() && Slabs[SlabMark] == &Inline &&
+           "RootScopes must be destroyed in LIFO order");
     for (std::size_t I = SlabMark + 1; I < Slabs.size(); ++I) {
       Slabs[I]->NextFree = Heap.SlabFreeList;
       Heap.SlabFreeList = Slabs[I];
     }
     Slabs.resize(SlabMark);
-    Heap.ShadowStack.resize(Mark);
   }
 
   RootScope(const RootScope &) = delete;
@@ -292,6 +274,8 @@ public:
 
   /// Low-level escape hatch: a scope-owned rooted slot holding \p V.
   /// The reference stays valid (and registered) until the scope dies.
+  /// A scope's first RootSlab::Capacity slots are contiguous (its inline
+  /// slab), so a fresh scope can root an element array for allocVector.
   Value &slot(Value V) {
     if (MANTI_UNLIKELY(Cur->Count == RootSlab::Capacity))
       growSlab();
@@ -300,11 +284,6 @@ public:
     ++NumOwned;
     return Out;
   }
-
-  /// Registers \p Slot (an lvalue that outlives this scope) as a root
-  /// without copying it into scope storage. For runtime-owned slots
-  /// (task environments, mailbox cells); handles are the normal path.
-  void rootExternal(Value &Slot) { Heap.ShadowStack.push_back(&Slot); }
 
   /// Number of slots this scope has created (tests / stats).
   std::size_t numSlots() const { return NumOwned; }
@@ -316,7 +295,6 @@ private:
   MANTI_NOINLINE void growSlab();
 
   VProcHeap &Heap;
-  std::size_t Mark;
   std::size_t SlabMark;
   VProcHeap *PrevSatbHeap;
   RootSlab *Cur;
@@ -541,16 +519,18 @@ template <typename T> Ref<T> alloc(RootScope &S, const T &Init) {
   Word Raw[ObjectType<T>::SizeWords];
   std::memcpy(Raw, &Init, sizeof(T));
 
-  constexpr unsigned NP = ObjectType<T>::NumPtrFields;
-  Value Slots[NP > 0 ? NP : 1];
-  Value *SlotPtrs[NP > 0 ? NP : 1];
-  unsigned I = 0;
-  std::apply(
-      [&](auto... Ms) {
-        ((Slots[I] = Init.*Ms, SlotPtrs[I] = &Slots[I], ++I), ...);
-      },
-      T::GcPtrFields);
-  Value V = detail::allocMixedViaSlots(S.heap(), Id, Raw, SlotPtrs, NP);
+  Value V;
+  {
+    // The pointer fields' scope closes before the result is rooted in S.
+    // (Braced lists evaluate in order, so Slots follows GcPtrFields.)
+    RootScope Tmp(S.heap());
+    V = std::apply(
+        [&](auto... Ms) {
+          Value *Slots[] = {&Tmp.slot(Init.*Ms)..., nullptr};
+          return detail::allocMixedRooted(S.heap(), Id, Raw, Slots);
+        },
+        T::GcPtrFields);
+  }
   return S.rootAs<T>(V);
 }
 
@@ -583,15 +563,16 @@ inline Ref<Object> allocGlobalRaw(RootScope &S, const void *Data,
 /// them across the allocation.
 template <typename... Vs>
 Ref<Object> allocVectorOf(RootScope &S, const Vs &...Elems) {
-  Value Tmp[sizeof...(Vs) > 0 ? sizeof...(Vs) : 1] = {
-      static_cast<Value>(Elems)...};
+  static_assert(sizeof...(Vs) <= RootSlab::Capacity,
+                "allocVectorOf roots its elements contiguously in one "
+                "inline slab");
   Value V;
   {
-    // The temporary roots must be popped *before* the result is rooted
-    // in S: S.root pushes onto the same shadow stack, and a LIFO pop
-    // after it would deregister the result slot instead of Tmp's.
-    detail::ScopedSlotRoots Roots(S.heap(), Tmp, sizeof...(Vs));
-    V = S.heap().allocVector(Tmp, sizeof...(Vs));
+    // A fresh scope's inline slab holds the elements contiguously, in
+    // order; it closes before the result is rooted in S.
+    RootScope Tmp(S.heap());
+    Value *Slots[] = {&Tmp.slot(Elems)..., nullptr};
+    V = S.heap().allocVector(Slots[0], sizeof...(Vs));
   }
   return S.root(V);
 }

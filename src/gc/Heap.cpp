@@ -10,6 +10,7 @@
 #include "gc/HeapInternal.h"
 
 #include "gc/CollectorImpl.h"
+#include "gc/Handles.h"
 #include "support/Assert.h"
 #include "support/Compiler.h"
 #include "support/Logging.h"
@@ -63,8 +64,7 @@ GCWorld::GCWorld(const GCConfig &Config, const Topology &Topo,
               return Ids;
             }()),
       Policy(Config.Policy, Topo.numNodes()), Traffic(Topo.numNodes()),
-      Chunks(Banks, Policy, Config.ChunkBytes, Config.PreserveChunkAffinity,
-             Config.ChunkBatch),
+      Chunks(Banks, Policy, Config.ChunkBytes, Config.PreserveChunkAffinity),
       GlobalGCThreshold(static_cast<uint64_t>(Config.GlobalGCBytesPerVProc) *
                         NumVProcs),
       GCBarrier(NumVProcs) {
@@ -164,9 +164,8 @@ VProcHeap::VProcHeap(GCWorld &World, unsigned Id, CoreId Core, NodeId Node)
       LocalMem(World.Banks.allocBlock(World.Config.LocalHeapBytes,
                                       LocalHeapHome)),
       Local(LocalMem, World.Config.LocalHeapBytes) {
-  // Pre-size the root stacks: a mid-allocation std::vector regrow is the
+  // Pre-size the slab stack: a mid-allocation std::vector regrow is the
   // worst possible time to call the system allocator.
-  ShadowStack.reserve(256);
   SlabStack.reserve(64);
 }
 
@@ -270,7 +269,7 @@ void VProcHeap::maybeTriggerGlobalGC(uint64_t JustAllocatedBytes) {
     Allocated += H->GlobalAllocSinceCycle.load(std::memory_order_relaxed);
   const uint64_t Threshold = World.globalGCThresholdBytes();
   const auto Watermark = static_cast<uint64_t>(
-      World.Config.ConcurrentMarkWatermark * static_cast<double>(Threshold));
+      ConcurrentMarkWatermark * static_cast<double>(Threshold));
   if (Allocated >= Watermark)
     // Enough new allocation since the last cycle: start marking now,
     // well before the hard threshold, so the cycle finishes while the
@@ -287,7 +286,7 @@ void VProcHeap::maybeTriggerGlobalGC(uint64_t JustAllocatedBytes) {
 //===----------------------------------------------------------------------===//
 
 /// StressGC: every slow-path-eligible allocation first validates the
-/// shadow stack, then actually collects, so any Value held outside a
+/// registered root slots, then actually collects, so any Value held outside a
 /// rooted slot across this allocation is stale the moment the caller
 /// resumes -- the intermittent bug becomes a deterministic one.
 void VProcHeap::stressGCBeforeAlloc() {
@@ -329,13 +328,20 @@ void VProcHeap::debugCheckShadowStack() const {
             reinterpret_cast<const Word *>(Hdr));
     }
     MANTI_CHECK(Sound,
-                "shadow-stack slot holds an unrooted or stale heap pointer");
+                "root slot holds an unrooted or stale heap pointer");
   };
-  for (const Value *Slot : ShadowStack)
+  for (const Value *Slot : LifetimeRoots)
     CheckSlot(*Slot);
   for (const RootSlab *Slab : SlabStack)
     for (unsigned I = 0; I < Slab->Count; ++I)
       CheckSlot(Slab->Slots[I]);
+}
+
+void VProcHeap::removeLifetimeRoot(Value *Slot) {
+  auto It = std::find(LifetimeRoots.begin(), LifetimeRoots.end(), Slot);
+  MANTI_CHECK(It != LifetimeRoots.end(), "lifetime root was never added");
+  *It = LifetimeRoots.back();
+  LifetimeRoots.pop_back();
 }
 
 void VProcHeap::takeLimitSignal() {
@@ -492,10 +498,10 @@ Value VProcHeap::allocVectorSlow(const Value *Elems, std::size_t N) {
   return Value::fromPtr(Obj);
 }
 
-Value VProcHeap::allocVectorFillSlow(std::size_t N, Value Fill) {
+Value VProcHeap::allocVectorFillSlow(std::size_t N, Value FillIn) {
   uint64_t LenWords = std::max<uint64_t>(1, N);
-  GcFrame Frame(*this);
-  Frame.root(Fill);
+  RootScope S(*this);
+  Value &Fill = S.slot(FillIn);
   if (vectorIsOversized(N)) {
     Fill = promote(Fill);
     Word *Obj = globalAllocObject(IdVector, LenWords);
@@ -509,14 +515,6 @@ Value VProcHeap::allocVectorFillSlow(std::size_t N, Value Fill) {
   Obj[LenWords - 1] = Value::nil().bits();
   for (std::size_t I = 0; I < N; ++I)
     Obj[I] = Fill.bits();
-  return Value::fromPtr(Obj);
-}
-
-Value gcinternal::HeapAccess::allocMixed(VProcHeap &H, uint16_t Id,
-                                         const Word *Fields) {
-  const ObjectDescriptor &Desc = H.World.descriptors().lookup(Id);
-  Word *Obj = H.allocLocalObject(Id, Desc.sizeWords());
-  std::memcpy(Obj, Fields, Desc.sizeWords() * sizeof(Word));
   return Value::fromPtr(Obj);
 }
 

@@ -19,15 +19,17 @@
 /// pinned (logically) to a core chosen sparsely across the NUMA nodes.
 ///
 /// A VProcHeap bundles a vproc's local Appel heap, its current global
-/// chunk, its shadow stack of roots, its proxy table, and its GC
-/// statistics. All allocation goes through the VProcHeap and must happen
-/// on the vproc's own thread; the only cross-thread operations are the
-/// global collector and a thief zeroing allocation limits.
+/// chunk, its root slots (RootScope slabs plus lifetime roots), its
+/// proxy table, and its GC statistics. All allocation goes through the
+/// VProcHeap and must happen on the vproc's own thread; the only
+/// cross-thread operations are the global collector and a thief zeroing
+/// allocation limits.
 ///
-/// Rooting discipline: any Value live across an allocation must be
-/// registered in the shadow stack (RootScope in Handles.h; the
-/// collector-internal GcFrame in gc/HeapInternal.h is the raw face of
-/// the same stack).
+/// Rooting discipline: any Value live across an allocation must sit in
+/// a registered root slot. There is one way to get a scoped slot:
+/// RootScope (gc/Handles.h), whose slabs VProcHeap::SlabStack lists.
+/// Runtime structures that outlive every scope register a lifetime root
+/// (addLifetimeRoot / removeLifetimeRoot) instead.
 /// Allocation functions that take source Values receive *pointers to
 /// rooted slots* so the sources survive a collection triggered by the
 /// allocation itself.
@@ -70,11 +72,10 @@ class GCWorld;
 class VProcHeap;
 
 namespace gcinternal {
-/// Gateway for the raw Value-level allocation surface (allocMixed,
-/// allocMixedRooted, GcFrame). Lives in gc/HeapInternal.h, which only
-/// MANTI_GC_INTERNAL translation units (collectors, the handle layer,
-/// collector tests, gc_microbench) may include; everything else
-/// programs against gc/Handles.h.
+/// Gateway for the raw Value-level mixed allocator (allocMixedRooted).
+/// Lives in gc/HeapInternal.h, which only MANTI_GC_INTERNAL translation
+/// units (the handle layer, collector tests, gc_microbench) may include;
+/// everything else programs against gc/Handles.h.
 struct HeapAccess;
 } // namespace gcinternal
 
@@ -134,11 +135,8 @@ struct GCConfig {
   bool BindMemory = false;
   /// Reuse global chunks on their home node (ablation knob).
   bool PreserveChunkAffinity = true;
-  /// Chunks carved per fresh MemoryBanks mapping: the global
-  /// synchronization cost of chunk registration is paid once per batch.
-  unsigned ChunkBatch = ChunkManager::DefaultBatchChunks;
   /// Stress mode: force a minor collection on every allocation that is
-  /// eligible for the GC slow path, and validate every shadow-stack slot
+  /// eligible for the GC slow path, and validate every registered root slot
   /// (nil / int / live heap pointer) first. Turns "a collection *may*
   /// happen here" into "a collection *does* happen here", so unrooted
   /// Values fail deterministically instead of intermittently. Also
@@ -161,12 +159,13 @@ struct GCConfig {
   /// baseline; the concurrent collector reclaims whole-chunk garbage
   /// without moving anything.
   bool ConcurrentGlobal = false;
-  /// Fraction of the global-GC threshold at which allocation-byte
-  /// watermarks start a concurrent mark cycle (only meaningful with
-  /// ConcurrentGlobal). Starting early keeps the cycle ahead of the
-  /// hard threshold, whose crossing still forces a STW fallback.
-  double ConcurrentMarkWatermark = 0.5;
 };
+
+/// Fraction of the global-GC threshold at which allocation-byte
+/// watermarks start a concurrent mark cycle (only meaningful with
+/// GCConfig::ConcurrentGlobal). Starting early keeps the cycle ahead of
+/// the hard threshold, whose crossing still forces a STW fallback.
+inline constexpr double ConcurrentMarkWatermark = 0.5;
 
 /// Global-collection phase word. Single source of truth for "is any
 /// global collection pending or running": every transition is a CAS or a
@@ -183,8 +182,9 @@ enum class GCPhase : uint8_t {
 /// Visits one root slot; the visitor may rewrite the slot's word.
 using RootSlotVisitor = void (*)(Word *Slot, void *VisitorCtx);
 
-/// Enumerates extra roots (beyond the shadow stack) owned by a vproc --
-/// the runtime registers its ready-queue and mailbox scanning here.
+/// Enumerates extra roots (beyond the heap's own root slots) owned by a
+/// vproc -- the runtime registers its ready-queue and mailbox scanning
+/// here.
 /// Implementations call \p Visit once per root slot.
 using VProcRootEnumerator = void (*)(unsigned VProcId, RootSlotVisitor Visit,
                                      void *VisitorCtx, void *EnumCtx);
@@ -201,17 +201,16 @@ using GlobalRootEnumerator = void (*)(RootSlotVisitor Visit, void *VisitorCtx,
 /// Fixed-capacity block of root slots. RootScope (gc/Handles.h) embeds
 /// one inline and chains overflow slabs through the owning heap's free
 /// list; the collectors enumerate VProcHeap::SlabStack directly, so
-/// registering a slot costs one slab store instead of a ShadowStack
-/// push. Slabs never move while registered (handle slot addresses must
-/// stay stable), which is why growth chains new slabs instead of
-/// reallocating.
+/// registering a slot costs one slab store. Slabs never move while
+/// registered (handle slot addresses must stay stable), which is why
+/// growth chains new slabs instead of reallocating.
 struct RootSlab {
   static constexpr unsigned Capacity = 16;
   RootSlab() {}
   unsigned Count = 0;
   RootSlab *NextFree = nullptr;
   /// Anonymous union: slots past Count are never read (the collectors
-  /// and the shadow-stack checker iterate [0, Count)), so constructing
+  /// and the root-slot checker iterate [0, Count)), so constructing
   /// a slab must not pay for nil-initializing all Capacity slots --
   /// RootScope embeds one per scope.
   union {
@@ -258,7 +257,7 @@ public:
 
   // Mixed-type (typed, pointer-bearing) allocation is reached through
   // gc/Handles.h (alloc<T>(RootScope&, ...)); the raw word-level entry
-  // points live behind gcinternal::HeapAccess in gc/HeapInternal.h.
+  // point lives behind gcinternal::HeapAccess in gc/HeapInternal.h.
 
   /// Allocates a raw object directly in the global heap (used for large
   /// immutable data shared across vprocs, e.g. benchmark inputs).
@@ -325,7 +324,7 @@ public:
     return StealSignal.load(std::memory_order_acquire);
   }
 
-  /// Aborts unless every shadow-stack slot holds nil, a tagged int, or a
+  /// Aborts unless every registered root slot holds nil, a tagged int, or a
   /// pointer to a live object in this vproc's local heap or the global
   /// heap. Run before every forced collection under GCConfig::StressGC;
   /// catches the unrooted Values the raw API invited. Cold path.
@@ -335,15 +334,11 @@ public:
   // Roots
   //===--------------------------------------------------------------------===//
 
-  /// The shadow stack: slots whose Values are live across allocations.
-  /// Managed through RootScope (gc/Handles.h) and the internal GcFrame
-  /// (gc/HeapInternal.h); exposed for the collectors and tests.
-  std::vector<Value *> ShadowStack;
-
-  /// RootScope slot slabs, in scope-nesting order. Each live RootScope
-  /// contributes its inline slab plus any overflow slabs it grew; the
-  /// collectors enumerate Slots[0..Count) of every slab here alongside
-  /// the shadow stack (forEachVProcRoot).
+  /// RootScope slot slabs, in scope-nesting order: every scoped root
+  /// lives here. Each live RootScope contributes its inline slab plus
+  /// any overflow slabs it grew; the collectors enumerate
+  /// Slots[0..Count) of every slab here alongside the lifetime roots
+  /// (forEachVProcRoot). Only RootScope pushes and pops it.
   std::vector<RootSlab *> SlabStack;
 
   /// Recycled overflow slabs (chained through RootSlab::NextFree), so
@@ -356,11 +351,22 @@ public:
 
   GCStats Stats;
 
-  /// Total registered root slots: shadow-stack entries plus every live
-  /// slab's occupied slots. The tests' scope-balance assertions read
-  /// this instead of ShadowStack.size().
+  /// Registers \p Slot (storage outliving every RootScope it may
+  /// overlap, e.g. a runtime structure's head) as a root until
+  /// removeLifetimeRoot. Unordered with respect to RootScope nesting:
+  /// scopes never read or resize this list.
+  void addLifetimeRoot(Value *Slot) { LifetimeRoots.push_back(Slot); }
+
+  /// Deregisters a slot added by addLifetimeRoot; aborts if it is absent.
+  void removeLifetimeRoot(Value *Slot);
+
+  /// The registered lifetime root slots (collectors, root checker).
+  const std::vector<Value *> &lifetimeRoots() const { return LifetimeRoots; }
+
+  /// Total registered root slots: lifetime roots plus every live slab's
+  /// occupied slots (the tests' scope-balance assertions).
   std::size_t numRegisteredRootSlots() const {
-    std::size_t N = ShadowStack.size();
+    std::size_t N = LifetimeRoots.size();
     for (const RootSlab *Slab : SlabStack)
       N += Slab->Count;
     return N;
@@ -453,6 +459,8 @@ private:
   void *LocalMem;
   LocalHeap Local;
   SizeClassCacheState SizeClasses;
+  /// Root slots registered for a structure's lifetime (addLifetimeRoot).
+  std::vector<Value *> LifetimeRoots;
   uint64_t StressTick = 0; ///< StressGCPeriod schedule position
   /// Bytes accumulated toward the next watermark summation (owner-only;
   /// the summation itself is the expensive part the stride amortizes).

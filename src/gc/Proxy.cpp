@@ -4,14 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Proxies are part of the collector machinery and use the internal
-// rooting surface directly.
-#define MANTI_GC_INTERNAL 1
-
 #include "gc/Proxy.h"
 
-#include "gc/HeapInternal.h"
-
+#include "gc/Handles.h"
 #include "support/Assert.h"
 
 #include <algorithm>
@@ -19,9 +14,9 @@
 
 using namespace manti;
 
-Value manti::createProxy(VProcHeap &H, Value Payload) {
-  GcFrame Frame(H);
-  Frame.root(Payload);
+Value manti::createProxy(VProcHeap &H, Value PayloadIn) {
+  RootScope S(H);
+  Value &Payload = S.slot(PayloadIn);
   Word *Obj = H.globalAllocObject(IdProxy, 2);
   Obj[0] = Value::fromInt(static_cast<int64_t>(H.id())).bits();
   Obj[1] = Payload.bits();
@@ -48,14 +43,14 @@ unsigned manti::proxyOwner(Value V) {
   return static_cast<unsigned>(Value::fromBits(V.asPtr()[0]).asInt());
 }
 
-Value manti::resolveProxy(VProcHeap &H, Value Proxy) {
-  MANTI_CHECK(isProxy(Proxy), "resolveProxy: not a proxy");
-  MANTI_CHECK(!proxyResolved(Proxy), "resolveProxy: already resolved");
-  MANTI_CHECK(proxyOwner(Proxy) == H.id(),
+Value manti::resolveProxy(VProcHeap &H, Value ProxyIn) {
+  MANTI_CHECK(isProxy(ProxyIn), "resolveProxy: not a proxy");
+  MANTI_CHECK(!proxyResolved(ProxyIn), "resolveProxy: already resolved");
+  MANTI_CHECK(proxyOwner(ProxyIn) == H.id(),
               "resolveProxy: only the owning vproc may resolve");
 
-  GcFrame Frame(H);
-  Frame.root(Proxy);
+  RootScope S(H);
+  Value &Proxy = S.slot(ProxyIn);
   Value Promoted = H.promote(proxyPayload(Proxy));
   // Promotion never moves the proxy itself (it is already global), but
   // re-read through the rooted value for clarity.

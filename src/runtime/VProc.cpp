@@ -91,7 +91,7 @@ unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
 
 void VProc::runTask(Task T) {
   RootScope Scope(Heap);
-  Scope.rootExternal(T.Env); // keep the environment rooted while it runs
+  Scope.slot(T.Env); // keep the environment rooted while it runs
   T.Fn(RT, *this, T);
 }
 

@@ -8,7 +8,6 @@
 
 #include "support/Assert.h"
 
-#include <algorithm>
 #include <climits>
 
 namespace manti::structures {
@@ -153,20 +152,12 @@ GcList::GcList(VProcHeap &H, GcReclaimer &R) : Home(H), R(R) {
     promoteInPlace(S, HeadNode);
     Head = HeadNode.value();
   }
-  // Root the head slot for the structure's lifetime. Registered only
-  // after the scope above popped its slots: a LIFO pop after this push
-  // would deregister the wrong slot.
-  Home.ShadowStack.push_back(&Head);
+  // Root the head slot for the structure's lifetime, independent of
+  // whatever RootScopes open and close around the structure.
+  Home.addLifetimeRoot(&Head);
 }
 
-GcList::~GcList() {
-  auto It = std::find(Home.ShadowStack.begin(), Home.ShadowStack.end(), &Head);
-  MANTI_CHECK(It != Home.ShadowStack.end(),
-              "structure head root vanished from the shadow stack");
-  // Order-preserving erase: RootScope teardown assumes it owns the
-  // current stack suffix.
-  Home.ShadowStack.erase(It);
-}
+GcList::~GcList() { Home.removeLifetimeRoot(&Head); }
 
 bool GcList::insert(VProcHeap &H, int64_t Key) {
   RootScope S(H);
@@ -267,16 +258,10 @@ GcSkipList::GcSkipList(VProcHeap &H, GcReclaimer &R)
     promoteInPlace(S, Tower);
     IndexHead = Tower.value();
   }
-  Home.ShadowStack.push_back(&IndexHead);
+  Home.addLifetimeRoot(&IndexHead);
 }
 
-GcSkipList::~GcSkipList() {
-  auto It =
-      std::find(Home.ShadowStack.begin(), Home.ShadowStack.end(), &IndexHead);
-  MANTI_CHECK(It != Home.ShadowStack.end(),
-              "skiplist index root vanished from the shadow stack");
-  Home.ShadowStack.erase(It);
-}
+GcSkipList::~GcSkipList() { Home.removeLifetimeRoot(&IndexHead); }
 
 Value GcSkipList::indexSearch(VProcHeap &H, int64_t Key) const {
 restart:

@@ -34,10 +34,10 @@
 ///    (VProcHeap::satbRecord), keeping snapshot-at-the-beginning
 ///    concurrent cycles sound under concurrent unlinking.
 ///
-///  * The structure head slots are registered on the constructing
-///    vproc's shadow stack for the structure's lifetime, so collections
-///    treat the whole set as rooted. Construct and destroy on that
-///    vproc's thread while it is quiescent.
+///  * The structure head slots are lifetime roots of the constructing
+///    vproc (VProcHeap::addLifetimeRoot), so collections treat the whole
+///    set as rooted whatever RootScopes open and close around it.
+///    Construct and destroy on that vproc's thread while it is quiescent.
 ///
 //===----------------------------------------------------------------------===//
 

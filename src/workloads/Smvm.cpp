@@ -17,7 +17,7 @@
 using namespace manti;
 using namespace manti::workloads;
 
-SmvmProblem manti::workloads::makeProblem(VProcHeap &H, const SmvmParams &P) {
+SmvmProblem manti::workloads::makeProblem(RootScope &S, const SmvmParams &P) {
   XorShift64 Rng(P.Seed);
   int64_t N = P.NumRows;
   int64_t Nnz = P.NumNonZeros;
@@ -44,15 +44,14 @@ SmvmProblem manti::workloads::makeProblem(VProcHeap &H, const SmvmParams &P) {
   for (auto &V : X)
     V = Rng.nextDouble(-1.0, 1.0);
 
-  SmvmProblem Prob;
-  Prob.NumRows = N;
-  Prob.Nnz = Nnz;
   // Shared immutable inputs go straight to the global heap.
-  Prob.RowPtr = H.allocGlobalRaw(RowPtr.data(), RowPtr.size() * 8);
-  Prob.ColIdx = H.allocGlobalRaw(ColIdx.data(), ColIdx.size() * 8);
-  Prob.Vals = H.allocGlobalRaw(Vals.data(), Vals.size() * 8);
-  Prob.X = H.allocGlobalRaw(X.data(), X.size() * 8);
-  return Prob;
+  return SmvmProblem{
+      allocGlobalRaw(S, RowPtr.data(), RowPtr.size() * 8),
+      allocGlobalRaw(S, ColIdx.data(), ColIdx.size() * 8),
+      allocGlobalRaw(S, Vals.data(), Vals.size() * 8),
+      allocGlobalRaw(S, X.data(), X.size() * 8),
+      N,
+      Nnz};
 }
 
 namespace {
@@ -111,11 +110,7 @@ void manti::workloads::smvmSerial(const SmvmProblem &Prob, double *Y) {
 SmvmResult manti::workloads::runSmvm(Runtime &RT, VProc &VP,
                                      const SmvmParams &P) {
   RootScope S(VP.heap());
-  SmvmProblem Prob = makeProblem(VP.heap(), P);
-  S.rootExternal(Prob.RowPtr);
-  S.rootExternal(Prob.ColIdx);
-  S.rootExternal(Prob.Vals);
-  S.rootExternal(Prob.X);
+  SmvmProblem Prob = makeProblem(S, P);
 
   std::vector<double> Y(static_cast<std::size_t>(P.NumRows));
   auto Start = std::chrono::steady_clock::now();

@@ -19,6 +19,7 @@
 #ifndef MANTI_WORKLOADS_SMVM_H
 #define MANTI_WORKLOADS_SMVM_H
 
+#include "gc/Handles.h"
 #include "runtime/Runtime.h"
 
 #include <cstdint>
@@ -39,19 +40,20 @@ struct SmvmResult {
 };
 
 /// The CSR matrix and the dense vector, resident in the global heap.
-/// Values are rooted by the holder.
+/// Each is a handle rooted in the scope given to makeProblem, so a
+/// copying global collection updates it instead of leaving it stale.
 struct SmvmProblem {
-  Value RowPtr; ///< global raw, (NumRows+1) int64
-  Value ColIdx; ///< global raw, Nnz int64
-  Value Vals;   ///< global raw, Nnz double
-  Value X;      ///< global raw, NumRows double
+  Ref<> RowPtr; ///< global raw, (NumRows+1) int64
+  Ref<> ColIdx; ///< global raw, Nnz int64
+  Ref<> Vals;   ///< global raw, Nnz double
+  Ref<> X;      ///< global raw, NumRows double
   int64_t NumRows = 0;
   int64_t Nnz = 0;
 };
 
-/// Builds a random problem directly in the global heap. The caller must
-/// root the four Values (e.g. RootScope::rootExternal on each member).
-SmvmProblem makeProblem(VProcHeap &H, const SmvmParams &P);
+/// Builds a random problem directly in the global heap, rooting its four
+/// objects in \p S; the problem is valid while \p S is open.
+SmvmProblem makeProblem(RootScope &S, const SmvmParams &P);
 
 /// y = A * x in parallel over rows; writes into \p Y (size NumRows).
 void smvm(Runtime &RT, VProc &VP, const SmvmProblem &Prob, double *Y);

@@ -12,10 +12,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
-#define MANTI_GC_INTERNAL 1
-
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
 #include "gc/Proxy.h"
@@ -25,7 +21,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -42,23 +37,17 @@ struct Shadow {
   std::vector<uint8_t> Bytes;     // for RawBytes
 };
 
-/// One mutator's stress state: a fixed bank of rooted slots plus the
-/// shadow expectations for each.
+/// One mutator's stress state: a fixed bank of slots rooted in the
+/// mutator's own RootScope, plus the shadow expectations for each.
 class StressMutator {
 public:
   static constexpr unsigned MaxRoots = 24;
 
-  StressMutator(VProcHeap &H, uint64_t Seed) : H(H), Rng(Seed) {
-    for (Value &Slot : Roots)
-      H.ShadowStack.push_back(&Slot);
+  StressMutator(VProcHeap &H, uint64_t Seed) : H(H), Rng(Seed), Scope(H) {
+    for (Value *&Slot : Roots)
+      Slot = &Scope.slot(Value::nil());
     Shadows.resize(MaxRoots);
     Live.assign(MaxRoots, false);
-  }
-
-  ~StressMutator() {
-    // Pop exactly our slots (LIFO registration).
-    for (unsigned I = 0; I < MaxRoots; ++I)
-      H.ShadowStack.pop_back();
   }
 
   /// Runs one random operation.
@@ -106,7 +95,7 @@ public:
       if (!Live[I])
         continue;
       const Shadow &S = Shadows[I];
-      Value V = Roots[I];
+      Value V = *Roots[I];
       if (S.Kind == Shadow::IntList) {
         std::size_t Pos = 0;
         for (Value Cur = V; !Cur.isNil(); Cur = vectorGet(Cur, 1)) {
@@ -141,14 +130,14 @@ private:
     int64_t Len = 1 + static_cast<int64_t>(Rng.nextBelow(48));
     Shadow S;
     S.Kind = Shadow::IntList;
-    GcFrame Frame(H);
-    Value &L = Frame.root(Value::nil());
+    RootScope Frame(H);
+    Value &L = Frame.slot(Value::nil());
     for (int64_t I = 0; I < Len; ++I) {
       int64_t X = static_cast<int64_t>(Rng.next() >> 16);
       L = cons(H, Value::fromInt(X), L);
       S.Ints.insert(S.Ints.begin(), X);
     }
-    Roots[Slot] = L;
+    *Roots[Slot] = L;
     Shadows[Slot] = std::move(S);
     Live[Slot] = true;
   }
@@ -161,7 +150,7 @@ private:
     S.Bytes.resize(Len);
     for (auto &B : S.Bytes)
       B = static_cast<uint8_t>(Rng.next());
-    Roots[Slot] = H.allocRaw(S.Bytes.data(), Len);
+    *Roots[Slot] = H.allocRaw(S.Bytes.data(), Len);
     Shadows[Slot] = std::move(S);
     Live[Slot] = true;
   }
@@ -179,14 +168,14 @@ private:
     S.Kind = Shadow::IntList;
     S.Ints = Shadows[Tail].Ints;
     S.Ints.insert(S.Ints.begin(), X);
-    Roots[Slot] = cons(H, Value::fromInt(X), Roots[Tail]);
+    *Roots[Slot] = cons(H, Value::fromInt(X), *Roots[Tail]);
     Shadows[Slot] = std::move(S);
     Live[Slot] = true;
   }
 
   void dropRoot() {
     unsigned Slot = randomSlot();
-    Roots[Slot] = Value::nil();
+    *Roots[Slot] = Value::nil();
     Shadows[Slot] = Shadow();
     Shadows[Slot].Ints.clear();
     Live[Slot] = false;
@@ -196,7 +185,7 @@ private:
     int Slot = randomLiveSlot();
     if (Slot < 0)
       return;
-    Roots[Slot] = H.promote(Roots[Slot]);
+    *Roots[Slot] = H.promote(*Roots[Slot]);
   }
 
   /// Create a proxy over a live root, collect a little, resolve it, and
@@ -205,8 +194,8 @@ private:
     int Slot = randomLiveSlot();
     if (Slot < 0 || Shadows[Slot].Kind != Shadow::IntList)
       return;
-    GcFrame Frame(H);
-    Value &P = Frame.root(createProxy(H, Roots[Slot]));
+    RootScope Frame(H);
+    Value &P = Frame.slot(createProxy(H, *Roots[Slot]));
     if (Rng.nextBelow(2) == 0)
       H.minorGC();
     Value Resolved = resolveProxy(H, P);
@@ -220,7 +209,8 @@ private:
 
   VProcHeap &H;
   XorShift64 Rng;
-  Value Roots[MaxRoots];
+  RootScope Scope;
+  Value *Roots[MaxRoots];
   std::vector<Shadow> Shadows;
   std::vector<bool> Live;
 };
@@ -342,11 +332,11 @@ TEST(GCEdge, OversizedRawGoesToDedicatedChunk) {
   GCConfig Cfg = smallConfig(); // 64 KiB chunks
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   std::vector<uint8_t> Data(200 * 1024);
   for (std::size_t I = 0; I < Data.size(); ++I)
     Data[I] = static_cast<uint8_t>(I * 31);
-  Value &Big = Frame.root(H.allocGlobalRaw(Data.data(), Data.size()));
+  Value &Big = Frame.slot(H.allocGlobalRaw(Data.data(), Data.size()));
   EXPECT_TRUE(isGlobal(TW.World, Big));
   EXPECT_EQ(std::memcmp(rawData(Big), Data.data(), Data.size()), 0);
   // chunkOf must find it through the oversized index.
@@ -358,11 +348,11 @@ TEST(GCEdge, OversizedObjectSurvivesGlobalGC) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   std::vector<uint8_t> Data(150 * 1024);
   for (std::size_t I = 0; I < Data.size(); ++I)
     Data[I] = static_cast<uint8_t>(I * 13 + 1);
-  Value &Big = Frame.root(H.allocGlobalRaw(Data.data(), Data.size()));
+  Value &Big = Frame.slot(H.allocGlobalRaw(Data.data(), Data.size()));
   Word *Before = Big.asPtr();
   TW.World.requestGlobalGC();
   H.safePoint();
@@ -376,8 +366,8 @@ TEST(GCEdge, OversizedGarbageIsFreed) {
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
   {
-    GcFrame Frame(H);
-    Value &Big = Frame.root(H.allocGlobalRaw(nullptr, 300 * 1024));
+    RootScope Frame(H);
+    Value &Big = Frame.slot(H.allocGlobalRaw(nullptr, 300 * 1024));
     (void)Big;
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -391,10 +381,10 @@ TEST(GCEdge, LocalRawAboveNurseryGoesGlobal) {
   GCConfig Cfg = smallConfig(); // 128 KiB heap, 64 KiB nursery
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // 80 KiB cannot fit any nursery: the slow path routes it globally
   // (raw data carries no pointers, so this is invariant-safe).
-  Value &Big = Frame.root(H.allocRaw(nullptr, 80 * 1024));
+  Value &Big = Frame.slot(H.allocRaw(nullptr, 80 * 1024));
   EXPECT_TRUE(isGlobal(TW.World, Big));
   EXPECT_GT(H.Stats.BytesAllocatedGlobal, 0u);
 }
@@ -403,16 +393,17 @@ TEST(GCEdge, OversizedVectorPromotesItsElements) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Vector bigger than LocalHeapBytes/4 forces the global path, which
   // must promote the (local) elements first.
   const std::size_t N = Cfg.LocalHeapBytes / 4 / 8 + 16;
+  // Only Elems[0] holds a pointer, and the oversized path never
+  // collects (it promotes in place, then allocates globally), so the
+  // element array itself needs no root; First keeps the list rooted.
   std::vector<Value> Elems(N, Value::nil());
-  Value &First = Frame.root(makeIntList(H, 5));
-  for (auto &E : Elems)
-    Frame.root(E); // root every slot
+  Value &First = Frame.slot(makeIntList(H, 5));
   Elems[0] = First;
-  Value &Vec = Frame.root(H.allocVector(Elems.data(), N));
+  Value &Vec = Frame.slot(H.allocVector(Elems.data(), N));
   EXPECT_TRUE(isGlobal(TW.World, Vec));
   Value Head = vectorGet(Vec, 0);
   EXPECT_TRUE(isGlobal(TW.World, Head))
@@ -429,30 +420,26 @@ TEST(GCEdge, EmergencyEvacuationWhenHeapCrowded) {
   Cfg.GlobalGCBytesPerVProc = 8 * 1024 * 1024;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Live data approaching the whole local heap forces the AllLocal
   // emergency path; everything must survive in the global heap.
-  std::deque<Value> Keep;
-  std::vector<Value *> Slots;
+  std::vector<Value *> Keep;
   for (int I = 0; I < 40; ++I) {
-    Keep.push_back(Value::nil());
-    H.ShadowStack.push_back(&Keep.back());
-    Keep.back() = makeIntList(H, 60);
+    Keep.push_back(&Frame.slot(Value::nil()));
+    *Keep.back() = makeIntList(H, 60);
   }
   int64_t Total = 0;
-  for (Value &V : Keep)
-    Total += listSum(V);
+  for (Value *V : Keep)
+    Total += listSum(*V);
   EXPECT_EQ(Total, 40 * intListSum(60));
   verifyHeap(H);
-  for (int I = 0; I < 40; ++I)
-    H.ShadowStack.pop_back();
 }
 
 TEST(GCEdge, AggregateStatsSumAcrossVProcs) {
   TestWorld TW(3);
   for (unsigned V = 0; V < 3; ++V) {
-    GcFrame Frame(TW.heap(V));
-    Value &L = Frame.root(makeIntList(TW.heap(V), 10));
+    RootScope Frame(TW.heap(V));
+    Value &L = Frame.slot(makeIntList(TW.heap(V), 10));
     (void)L;
     TW.heap(V).minorGC();
   }
@@ -471,8 +458,8 @@ TEST(GCEdge, AggregateStatsSumAcrossVProcs) {
 TEST(GCEdgeDeath, GlobalVectorRejectsLocalElements) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Local = Frame.root(makeIntList(H, 3));
+  RootScope Frame(H);
+  Value &Local = Frame.slot(makeIntList(H, 3));
   Value Elems[1] = {Local};
   EXPECT_DEATH(H.allocGlobalVector(Elems, 1), "references a local heap");
 }

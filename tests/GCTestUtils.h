@@ -18,7 +18,7 @@
 #include "gc/Handles.h"
 #include "gc/Heap.h"
 #ifdef MANTI_GC_INTERNAL
-#include "gc/HeapInternal.h" // GcFrame + raw mixed allocators for GC tests
+#include "gc/HeapInternal.h" // raw mixed allocator for collector tests
 #endif
 #include "numa/Topology.h"
 

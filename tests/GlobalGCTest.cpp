@@ -4,10 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
-#define MANTI_GC_INTERNAL 1
-
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
 #include "gc/Proxy.h"
@@ -15,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -24,13 +21,13 @@ using namespace manti::test;
 TEST(GlobalGC, SingleVProcCollectsGarbage) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 50));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 50));
   Keep = H.promote(Keep);
   // Create global garbage: promote and drop.
   for (int I = 0; I < 40; ++I) {
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 100));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 100));
     H.promote(Junk);
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -57,13 +54,12 @@ TEST(GlobalGC, TriggeredAutomaticallyByThreshold) {
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
-  Frame.root(Keep);
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 20));
   for (int I = 0; I < 200 && TW.World.globalGCCount() == 0; ++I) {
     {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 200));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 200));
       H.promote(Junk);
     }
     H.safePoint();
@@ -76,8 +72,8 @@ TEST(GlobalGC, TriggeredAutomaticallyByThreshold) {
 TEST(GlobalGC, YoungDataSurvivesInLocalHeap) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &LocalList = Frame.root(makeIntList(H, 25));
+  RootScope Frame(H);
+  Value &LocalList = Frame.slot(makeIntList(H, 25));
   TW.World.requestGlobalGC();
   H.safePoint();
   EXPECT_TRUE(isLocalTo(H, LocalList))
@@ -89,16 +85,16 @@ TEST(GlobalGC, CompactsLiveDataIntoFewerChunks) {
   GCConfig Cfg = smallConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Interleave live and dead promotions so live data is spread thinly
   // over many from-space chunks.
-  std::vector<Value> Kept(10);
-  for (auto &Slot : Kept)
-    Frame.root(Slot);
+  std::vector<Value *> Kept;
+  for (int I = 0; I < 10; ++I)
+    Kept.push_back(&Frame.slot(Value::nil()));
   for (int Round = 0; Round < 10; ++Round) {
-    Kept[Round] = H.promote(makeIntList(H, 30));
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 600));
+    *Kept[Round] = H.promote(makeIntList(H, 30));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 600));
     H.promote(Junk);
   }
   unsigned ChunksBefore =
@@ -109,16 +105,16 @@ TEST(GlobalGC, CompactsLiveDataIntoFewerChunks) {
   unsigned ChunksAfter =
       static_cast<unsigned>(TW.World.chunks().activeBytes() / Cfg.ChunkBytes);
   EXPECT_LT(ChunksAfter, ChunksBefore) << "copying collection compacts";
-  for (auto &Slot : Kept)
-    EXPECT_EQ(listSum(Slot), intListSum(30));
+  for (Value *Slot : Kept)
+    EXPECT_EQ(listSum(*Slot), intListSum(30));
 }
 
 TEST(GlobalGC, ProxiesMoveAndTablesFollow) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 8));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 8));
+  Value &P = Frame.slot(createProxy(H, Payload));
   Word *ProxyBefore = P.asPtr();
   TW.World.requestGlobalGC();
   H.safePoint();
@@ -138,20 +134,21 @@ TEST(GlobalGC, AdaptiveThresholdGrowsWithLiveData) {
   Cfg.GlobalGCBytesPerVProc = 128 * 1024;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Keep a lot of live global data.
-  std::vector<Value> Kept(12);
-  for (auto &Slot : Kept) {
-    Frame.root(Slot);
+  std::vector<Value *> Kept;
+  for (int I = 0; I < 12; ++I) {
+    Value &Slot = Frame.slot(Value::nil());
     Slot = H.promote(makeIntList(H, 800));
+    Kept.push_back(&Slot);
   }
   TW.World.requestGlobalGC();
   H.safePoint();
   EXPECT_GT(TW.World.globalGCThresholdBytes(),
             static_cast<uint64_t>(Cfg.GlobalGCBytesPerVProc))
       << "threshold adapts when live data exceeds the base budget";
-  for (auto &Slot : Kept)
-    EXPECT_EQ(listSum(Slot), intListSum(800));
+  for (Value *Slot : Kept)
+    EXPECT_EQ(listSum(*Slot), intListSum(800));
 }
 
 //===----------------------------------------------------------------------===//
@@ -188,27 +185,46 @@ void runOnVProcs(GCWorld &W, void (*Body)(VProcHeap &)) {
 namespace {
 /// Durable per-vproc root cells that outlive the worker threads, so the
 /// post-join world verification still reaches the promoted survivors.
-std::vector<Value> DurableKeeps;
+std::vector<Value *> DurableKeeps;
+
+/// Opens one RootScope per vproc heap on the test thread, before the
+/// workers start, and points DurableKeeps at a nil slot in each. The
+/// scopes close in reverse order once the workers have joined.
+class DurableRoots {
+public:
+  explicit DurableRoots(GCWorld &W) {
+    DurableKeeps.clear();
+    for (unsigned I = 0; I < W.numVProcs(); ++I) {
+      Scopes.push_back(std::make_unique<RootScope>(W.heap(I)));
+      DurableKeeps.push_back(&Scopes.back()->slot(Value::nil()));
+    }
+  }
+  ~DurableRoots() {
+    DurableKeeps.clear();
+    while (!Scopes.empty())
+      Scopes.pop_back();
+  }
+
+private:
+  std::vector<std::unique_ptr<RootScope>> Scopes;
+};
 } // namespace
 
 TEST(GlobalGCParallel, FourVProcsCollectTogether) {
   GCConfig Cfg = smallConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024;
   TestWorld TW(4, Cfg, Topology::uniform(2, 2));
-
-  DurableKeeps.assign(4, Value::nil());
-  for (unsigned I = 0; I < 4; ++I)
-    TW.heap(I).ShadowStack.push_back(&DurableKeeps[I]);
+  DurableRoots Durable(TW.World);
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
-    GcFrame Frame(H);
-    Value &Keep = Frame.root(makeIntList(H, 40));
+    RootScope Frame(H);
+    Value &Keep = Frame.slot(makeIntList(H, 40));
     Keep = H.promote(Keep);
-    DurableKeeps[H.id()] = Keep;
+    *DurableKeeps[H.id()] = Keep;
     for (int I = 0; I < 120; ++I) {
       {
-        GcFrame Inner(H);
-        Value &Junk = Inner.root(makeIntList(H, 120));
+        RootScope Inner(H);
+        Value &Junk = Inner.slot(makeIntList(H, 120));
         H.promote(Junk);
       }
       H.safePoint();
@@ -220,7 +236,7 @@ TEST(GlobalGCParallel, FourVProcsCollectTogether) {
   VerifyResult R = verifyWorld(TW.World);
   EXPECT_GT(R.GlobalObjects, 0u);
   for (unsigned I = 0; I < 4; ++I)
-    EXPECT_EQ(listSum(DurableKeeps[I]), intListSum(40));
+    EXPECT_EQ(listSum(*DurableKeeps[I]), intListSum(40));
 }
 
 TEST(GlobalGCParallel, MixedLocalAndGlobalLiveData) {
@@ -229,15 +245,15 @@ TEST(GlobalGCParallel, MixedLocalAndGlobalLiveData) {
   TestWorld TW(3, Cfg, Topology::uniform(3, 1));
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
-    GcFrame Frame(H);
-    Value &LocalKeep = Frame.root(makeIntList(H, 15));
-    Value &GlobalKeep = Frame.root(makeIntList(H, 15));
+    RootScope Frame(H);
+    Value &LocalKeep = Frame.slot(makeIntList(H, 15));
+    Value &GlobalKeep = Frame.slot(makeIntList(H, 15));
     GlobalKeep = H.promote(GlobalKeep);
     for (int I = 0; I < 200; ++I) {
       allocGarbage(H, 40);
       if (I % 3 == 0) {
-        GcFrame Inner(H);
-        Value &Junk = Inner.root(makeIntList(H, 80));
+        RootScope Inner(H);
+        Value &Junk = Inner.slot(makeIntList(H, 80));
         H.promote(Junk);
       }
       H.safePoint();
@@ -299,8 +315,8 @@ void stepCycleToCompletion(GCWorld &W, VProcHeap &H) {
 TEST(ConcurrentGlobalGC, PhaseMachineSteps) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
@@ -324,14 +340,14 @@ TEST(ConcurrentGlobalGC, PhaseMachineSteps) {
 TEST(ConcurrentGlobalGC, SingleVProcCollectsGarbage) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 50));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 50));
   Keep = H.promote(Keep);
   // Whole-chunk garbage: the non-moving sweep reclaims chunks with no
   // marked objects, so the junk must span several chunks by itself.
   for (int I = 0; I < 40; ++I) {
-    GcFrame Inner(H);
-    Value &Junk = Inner.root(makeIntList(H, 200));
+    RootScope Inner(H);
+    Value &Junk = Inner.slot(makeIntList(H, 200));
     H.promote(Junk);
   }
   uint64_t ActiveBefore = TW.World.chunks().activeBytes();
@@ -431,9 +447,9 @@ TEST(ConcurrentGlobalGC, VecRefOverwriteMidMarkKeepsSnapshotSafe) {
 TEST(ConcurrentGlobalGC, ProxyResolutionMidMark) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 8));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 8));
+  Value &P = Frame.slot(createProxy(H, Payload));
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
   H.safePoint();
@@ -453,8 +469,8 @@ TEST(ConcurrentGlobalGC, ProxyResolutionMidMark) {
 TEST(ConcurrentGlobalGC, StwRequestDoesNotPreemptRunningCycle) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
 
   ASSERT_TRUE(TW.World.startConcurrentMark());
@@ -474,16 +490,15 @@ TEST(ConcurrentGlobalGC, WatermarkTriggersAutomatically) {
   GCConfig Cfg = smallConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   Cfg.ConcurrentGlobal = true;
-  Cfg.ConcurrentMarkWatermark = 0.5;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 20));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 20));
   Keep = H.promote(Keep);
   for (int I = 0; I < 400 && TW.World.concurrentGCCount() == 0; ++I) {
     {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 200));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 200));
       H.promote(Junk);
     }
     H.safePoint();
@@ -502,11 +517,10 @@ TEST(ConcurrentGlobalGC, WatermarkTriggersOnMajorPromotion) {
   GCConfig Cfg = smallConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   Cfg.ConcurrentGlobal = true;
-  Cfg.ConcurrentMarkWatermark = 0.5;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(Value::nil());
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(Value::nil());
   int64_t Cells = 0;
   for (int I = 0; I < 400 && TW.World.concurrentGCCount() == 0; ++I) {
     // Live local data grows until major collections copy it out.
@@ -527,15 +541,12 @@ TEST(ConcurrentGlobalGCParallel, MutationUnderConcurrentMark) {
   Cfg.GlobalGCBytesPerVProc = 256 * 1024;
   Cfg.ConcurrentGlobal = true;
   TestWorld TW(4, Cfg, Topology::uniform(2, 2));
-
-  DurableKeeps.assign(4, Value::nil());
-  for (unsigned I = 0; I < 4; ++I)
-    TW.heap(I).ShadowStack.push_back(&DurableKeeps[I]);
+  DurableRoots Durable(TW.World);
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
     RootScope S(H);
     Ref<> Keep = S.root(H.promote(makeIntList(H, 40)));
-    DurableKeeps[H.id()] = Keep.value();
+    *DurableKeeps[H.id()] = Keep.value();
     // Churn a root slot while cycles run underneath: every assignment
     // is an overwrite (deletion barrier) and every nil store a delete.
     Ref<> Churn = S.root(Value::nil());
@@ -546,7 +557,7 @@ TEST(ConcurrentGlobalGCParallel, MutationUnderConcurrentMark) {
       H.safePoint();
       ASSERT_EQ(listSum(Keep.value()), intListSum(40));
     }
-    DurableKeeps[H.id()] = Keep.value();
+    *DurableKeeps[H.id()] = Keep.value();
   });
 
   EXPECT_GE(TW.World.concurrentGCCount(), 1u)
@@ -554,7 +565,7 @@ TEST(ConcurrentGlobalGCParallel, MutationUnderConcurrentMark) {
   VerifyResult R = verifyWorld(TW.World);
   EXPECT_GT(R.GlobalObjects, 0u);
   for (unsigned I = 0; I < 4; ++I)
-    EXPECT_EQ(listSum(DurableKeeps[I]), intListSum(40));
+    EXPECT_EQ(listSum(*DurableKeeps[I]), intListSum(40));
 }
 
 TEST(GlobalGCParallel, StatsAggregateAcrossVProcs) {
@@ -564,8 +575,8 @@ TEST(GlobalGCParallel, StatsAggregateAcrossVProcs) {
 
   runOnVProcs(TW.World, [](VProcHeap &H) {
     for (int I = 0; I < 150; ++I) {
-      GcFrame Inner(H);
-      Value &Junk = Inner.root(makeIntList(H, 100));
+      RootScope Inner(H);
+      Value &Junk = Inner.slot(makeIntList(H, 100));
       H.promote(Junk);
       H.safePoint();
     }

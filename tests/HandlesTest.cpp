@@ -440,15 +440,15 @@ TEST(Handles, VectorOfLeavesTheShadowStackConsistent) {
   VProcHeap &H = TW.heap();
   RootScope S(H);
   Ref<> Leaf = S.root(makeIntList(H, 4));
-  std::size_t ShadowBefore = H.ShadowStack.size();
+  std::size_t RegisteredBefore = H.numRegisteredRootSlots();
   std::size_t SlotsBefore = S.numSlots();
   Ref<> Pair = allocVectorOf(S, Value::fromInt(1), Leaf);
-  ASSERT_EQ(H.ShadowStack.size(), ShadowBefore)
+  ASSERT_EQ(H.numRegisteredRootSlots(), RegisteredBefore + 1)
       << "the temporary element roots must all be deregistered";
   ASSERT_EQ(S.numSlots(), SlotsBefore + 1)
       << "exactly the result handle's slot must remain";
   // The README's workload pattern: keep allocating in the same scope.
-  // Under StressGC this collects, sweeping the whole shadow stack; a
+  // Under StressGC this collects, checking every registered root; a
   // leftover dangling registration would abort (or corrupt) here.
   Ref<> More = S.root(makeIntList(H, 8));
   EXPECT_EQ(listSum(More), intListSum(8));

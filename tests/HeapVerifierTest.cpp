@@ -7,10 +7,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
-#define MANTI_GC_INTERNAL 1
-
 #include "GCTestUtils.h"
 #include "gc/GCReport.h"
 #include "gc/HeapVerifier.h"
@@ -30,9 +26,9 @@ TEST(HeapVerifier, EmptyWorldPasses) {
 TEST(HeapVerifier, CountsMatchStructure) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &L = Frame.root(makeIntList(H, 10)); // 10 cons cells
-  Value &G = Frame.root(H.promote(makeIntList(H, 5)));
+  RootScope Frame(H);
+  Value &L = Frame.slot(makeIntList(H, 10)); // 10 cons cells
+  Value &G = Frame.slot(H.promote(makeIntList(H, 5)));
   (void)L;
   (void)G;
   VerifyResult R = verifyHeap(H);
@@ -46,10 +42,10 @@ TEST(HeapVerifier, CountsMatchStructure) {
 TEST(HeapVerifier, SharedStructureCountedOnce) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Shared = Frame.root(makeIntList(H, 8));
-  Value &A = Frame.root(cons(H, Value::fromInt(1), Shared));
-  Value &B = Frame.root(cons(H, Value::fromInt(2), Shared));
+  RootScope Frame(H);
+  Value &Shared = Frame.slot(makeIntList(H, 8));
+  Value &A = Frame.slot(cons(H, Value::fromInt(1), Shared));
+  Value &B = Frame.slot(cons(H, Value::fromInt(2), Shared));
   (void)A;
   (void)B;
   VerifyResult R = verifyHeap(H);
@@ -59,28 +55,27 @@ TEST(HeapVerifier, SharedStructureCountedOnce) {
 TEST(HeapVerifier, FollowsForwardingChains) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &L = Frame.root(makeIntList(H, 4));
+  RootScope Frame(H);
+  Value &L = Frame.slot(makeIntList(H, 4));
   Value Stale = L;       // unrooted copy
   H.promote(L);          // L's slot still points at the husk
   // Add the stale value as an extra root; the verifier must trace it
   // through the forwarding pointer rather than reject it.
-  H.ShadowStack.push_back(&Stale);
+  Frame.slot(Stale);
   VerifyResult R = verifyHeap(H);
   EXPECT_GT(R.ForwardedEdges, 0u);
-  H.ShadowStack.pop_back();
 }
 
 TEST(HeapVerifierDeath, DetectsCrossVProcLocalPointer) {
   TestWorld TW(2);
   VProcHeap &H0 = TW.heap(0);
   VProcHeap &H1 = TW.heap(1);
-  GcFrame F0(H0);
-  GcFrame F1(H1);
-  Value &Mine = F0.root(makeIntList(H0, 2));
-  Value &Theirs = F1.root(makeIntList(H1, 2));
+  RootScope F0(H0);
+  RootScope F1(H1);
+  Value &Mine = F0.slot(makeIntList(H0, 2));
+  Value &Theirs = F1.slot(makeIntList(H1, 2));
   // Corrupt: a vproc-0 cell whose tail points into vproc 1's heap.
-  Value &Cell = F0.root(cons(H0, Value::fromInt(0), Mine));
+  Value &Cell = F0.slot(cons(H0, Value::fromInt(0), Mine));
   Cell.asPtr()[1] = Theirs.bits();
   EXPECT_DEATH(verifyHeap(H0), "another vproc's local heap");
 }
@@ -88,9 +83,9 @@ TEST(HeapVerifierDeath, DetectsCrossVProcLocalPointer) {
 TEST(HeapVerifierDeath, DetectsGlobalToLocalPointer) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Local = Frame.root(makeIntList(H, 2));
-  Value &Global = Frame.root(H.promote(makeIntList(H, 1)));
+  RootScope Frame(H);
+  Value &Local = Frame.slot(makeIntList(H, 2));
+  Value &Global = Frame.slot(H.promote(makeIntList(H, 1)));
   // Corrupt: a global cell referencing the local heap (mutation of
   // global objects is exactly what the design forbids).
   Global.asPtr()[1] = Local.bits();
@@ -100,8 +95,8 @@ TEST(HeapVerifierDeath, DetectsGlobalToLocalPointer) {
 TEST(HeapVerifierDeath, DetectsWildPointer) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Cell = Frame.root(cons(H, Value::fromInt(0), Value::nil()));
+  RootScope Frame(H);
+  Value &Cell = Frame.slot(cons(H, Value::fromInt(0), Value::nil()));
   alignas(8) static Word Outside[4] = {makeHeader(IdRaw, 3), 0, 0, 0};
   Cell.asPtr()[1] = Value::fromPtr(&Outside[1]).bits();
   EXPECT_DEATH(verifyHeap(H), "outside every heap");
@@ -114,8 +109,8 @@ TEST(HeapVerifierDeath, DetectsWildPointer) {
 TEST(GCReportTest, MentionsEveryPhase) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &L = Frame.root(makeIntList(H, 50));
+  RootScope Frame(H);
+  Value &L = Frame.slot(makeIntList(H, 50));
   H.minorGC();
   H.majorGC();
   L = H.promote(L);

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
+// Collector test: exercises the raw mixed allocator beneath the handle
+// layer on purpose.
 #define MANTI_GC_INTERNAL 1
 
 #include "GCTestUtils.h"
@@ -28,8 +28,8 @@ TEST(MajorGC, YoungDataStaysLocal) {
   Cfg.StressGCPeriod = 1u << 20;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 30));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 30));
   // majorGC runs its own preceding minor; the list is copied by that
   // minor and is therefore young -- it must NOT be promoted ("the young
   // data are guaranteed to be live ... we do not copy it to the global
@@ -43,8 +43,8 @@ TEST(MajorGC, YoungDataStaysLocal) {
 TEST(MajorGC, OldDataIsPromotedToGlobal) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 30));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 30));
   H.minorGC(); // List becomes young
   H.minorGC(); // List becomes old
   H.majorGC(); // old data moves to the global heap
@@ -57,11 +57,11 @@ TEST(MajorGC, OldDataIsPromotedToGlobal) {
 TEST(MajorGC, YoungSlidesToHeapBase) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &OldList = Frame.root(makeIntList(H, 40));
+  RootScope Frame(H);
+  Value &OldList = Frame.slot(makeIntList(H, 40));
   H.minorGC();
   H.minorGC(); // OldList now old
-  Value &YoungList = Frame.root(makeIntList(H, 25));
+  Value &YoungList = Frame.slot(makeIntList(H, 25));
   H.majorGC(); // minor copies YoungList to young, then old evacuates
   // After the slide, the retained data occupies [base, oldTop) (Fig. 3).
   EXPECT_TRUE(H.local().inOldData(YoungList.asPtr()))
@@ -76,12 +76,12 @@ TEST(MajorGC, YoungSlidesToHeapBase) {
 TEST(MajorGC, CrossRegionPointersAreRewritten) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &OldTail = Frame.root(makeIntList(H, 10));
+  RootScope Frame(H);
+  Value &OldTail = Frame.slot(makeIntList(H, 10));
   H.minorGC();
   H.minorGC(); // OldTail is old
   // New cell referencing old data: young -> old edge at major time.
-  Value &Young = Frame.root(cons(H, Value::fromInt(99), OldTail));
+  Value &Young = Frame.slot(cons(H, Value::fromInt(99), OldTail));
   H.majorGC();
   EXPECT_TRUE(isLocalTo(H, Young));
   Value Tail = vectorGet(Young, 1);
@@ -93,8 +93,8 @@ TEST(MajorGC, CrossRegionPointersAreRewritten) {
 TEST(MajorGC, GlobalCopiesReferenceGlobalCopies) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 50));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 50));
   H.minorGC();
   H.minorGC();
   H.majorGC();
@@ -121,32 +121,33 @@ TEST(MajorGC, TriggeredByNurseryThreshold) {
   Cfg.MinNurseryBytes = 30 * 1024; // aggressive threshold
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Keep a growing amount of live data so minor collections shrink the
   // nursery below the threshold and force majors.
-  std::vector<Value> Lists(8);
-  for (auto &Slot : Lists) {
-    Frame.root(Slot);
+  std::vector<Value *> Lists;
+  for (int I = 0; I < 8; ++I) {
+    Value &Slot = Frame.slot(Value::nil());
     Slot = makeIntList(H, 400);
+    Lists.push_back(&Slot);
   }
   allocGarbage(H, 4000);
   EXPECT_GT(H.Stats.MajorPause.count(), 0u)
       << "slow path must escalate to a major collection";
-  for (auto &Slot : Lists)
-    EXPECT_EQ(listSum(Slot), intListSum(400));
+  for (Value *Slot : Lists)
+    EXPECT_EQ(listSum(*Slot), intListSum(400));
 }
 
 TEST(MajorGC, StatsAccumulate) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &A = Frame.root(makeIntList(H, 100));
+  RootScope Frame(H);
+  Value &A = Frame.slot(makeIntList(H, 100));
   H.minorGC();
   H.minorGC();
   H.majorGC();
   uint64_t First = H.Stats.MajorBytesPromoted;
   EXPECT_GT(First, 0u);
-  Value &B = Frame.root(makeIntList(H, 100));
+  Value &B = Frame.slot(makeIntList(H, 100));
   H.minorGC();
   H.minorGC();
   H.majorGC();
@@ -158,8 +159,8 @@ TEST(MajorGC, StatsAccumulate) {
 TEST(MajorGC, RepeatedCyclesKeepInvariants) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Keep = Frame.root(makeIntList(H, 128));
+  RootScope Frame(H);
+  Value &Keep = Frame.slot(makeIntList(H, 128));
   for (int I = 0; I < 6; ++I) {
     allocGarbage(H, 300);
     Value Temp = makeIntList(H, 64);
@@ -174,13 +175,13 @@ TEST(MajorGC, MixedObjectsPromoteCorrectly) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
   uint16_t Id = TW.World.descriptors().registerMixed("pairRawPtr", 2, {1});
-  GcFrame Frame(H);
-  Value &Inner = Frame.root(makeIntList(H, 7));
+  RootScope Frame(H);
+  Value &Inner = Frame.slot(makeIntList(H, 7));
   // Rooted variant: see MinorGCTest -- the raw snapshot pattern breaks
   // under GCConfig::StressGC.
   Word Fields[2] = {12345, 0};
   Value *Slots[1] = {&Inner};
-  Value &Mixed = Frame.root(gcinternal::allocMixedRooted(H, Id, Fields, Slots));
+  Value &Mixed = Frame.slot(gcinternal::allocMixedRooted(H, Id, Fields, Slots));
   H.minorGC();
   H.minorGC();
   H.majorGC();
@@ -192,8 +193,8 @@ TEST(MajorGC, MixedObjectsPromoteCorrectly) {
 TEST(MajorGC, TrafficIsRecorded) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Frame.root(makeIntList(H, 200));
+  RootScope Frame(H);
+  Frame.slot(makeIntList(H, 200));
   H.minorGC();
   H.minorGC();
   uint64_t Before = TW.World.traffic().totalBytes();

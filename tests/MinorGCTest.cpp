@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
+// Collector test: exercises the raw mixed allocator beneath the handle
+// layer on purpose.
 #define MANTI_GC_INTERNAL 1
 
 #include "GCTestUtils.h"
@@ -13,24 +13,14 @@
 
 #include <gtest/gtest.h>
 
-#include <type_traits>
-
-// The internal GcFrame::root proxy binds as Value& but refuses the
-// silently-unrooting by-value copy (the public RootScope analogue is
-// asserted in HandlesTest.cpp).
-static_assert(std::is_convertible_v<manti::RootedSlot, manti::Value &>,
-              "RootedSlot must bind as Value&");
-static_assert(!std::is_convertible_v<manti::RootedSlot, manti::Value>,
-              "Value X = Frame.root(...) must not compile");
-
 using namespace manti;
 using namespace manti::test;
 
 TEST(MinorGC, LiveDataSurvives) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 100));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 100));
   H.minorGC();
   EXPECT_EQ(listLength(List), 100);
   EXPECT_EQ(listSum(List), intListSum(100));
@@ -39,8 +29,8 @@ TEST(MinorGC, LiveDataSurvives) {
 TEST(MinorGC, RootSlotIsForwarded) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 4));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 4));
   Word *Before = List.asPtr();
   ASSERT_TRUE(H.local().inNursery(Before));
   H.minorGC();
@@ -60,8 +50,8 @@ TEST(MinorGC, GarbageIsReclaimed) {
   Cfg.StressGCPeriod = 1u << 20;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Live = Frame.root(makeIntList(H, 10));
+  RootScope Frame(H);
+  Value &Live = Frame.slot(makeIntList(H, 10));
   allocGarbage(H, 200);
   std::size_t UsedBefore = H.local().nurseryUsedBytes();
   H.minorGC();
@@ -81,10 +71,10 @@ TEST(MinorGC, EmptyNurseryIsCheap) {
 TEST(MinorGC, SharedStructureStaysShared) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Shared = Frame.root(makeIntList(H, 5));
-  Value &A = Frame.root(cons(H, Value::fromInt(1), Shared));
-  Value &B = Frame.root(cons(H, Value::fromInt(2), Shared));
+  RootScope Frame(H);
+  Value &Shared = Frame.slot(makeIntList(H, 5));
+  Value &A = Frame.slot(cons(H, Value::fromInt(1), Shared));
+  Value &B = Frame.slot(cons(H, Value::fromInt(2), Shared));
   H.minorGC();
   EXPECT_EQ(vectorGet(A, 1).asPtr(), vectorGet(B, 1).asPtr())
       << "forwarding must preserve sharing, not duplicate the tail";
@@ -94,8 +84,8 @@ TEST(MinorGC, SharedStructureStaysShared) {
 TEST(MinorGC, NurseryResetAfterCollection) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Frame.root(makeIntList(H, 50));
+  RootScope Frame(H);
+  Frame.slot(makeIntList(H, 50));
   H.minorGC();
   EXPECT_EQ(H.local().nurseryUsedBytes(), 0u);
   EXPECT_GT(H.local().nurseryCapacityBytes(), 0u);
@@ -104,8 +94,8 @@ TEST(MinorGC, NurseryResetAfterCollection) {
 TEST(MinorGC, SecondMinorTurnsYoungIntoOld) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 20));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 20));
   H.minorGC();
   ASSERT_TRUE(H.local().inYoungData(List.asPtr()));
   H.minorGC(); // nothing new in the nursery
@@ -117,8 +107,8 @@ TEST(MinorGC, SecondMinorTurnsYoungIntoOld) {
 TEST(MinorGC, ManyCollectionsPreserveDeepStructure) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 300));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 300));
   for (int I = 0; I < 10; ++I) {
     allocGarbage(H, 50);
     H.minorGC();
@@ -130,8 +120,8 @@ TEST(MinorGC, ManyCollectionsPreserveDeepStructure) {
 TEST(MinorGC, AutomaticallyTriggeredBySlowPath) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 10));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 10));
   // Allocate until the nursery must have cycled several times.
   allocGarbage(H, 20000);
   EXPECT_GT(H.Stats.MinorPause.count(), 0u);
@@ -141,8 +131,8 @@ TEST(MinorGC, AutomaticallyTriggeredBySlowPath) {
 TEST(MinorGC, InvariantsHoldAfterCollections) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &List = Frame.root(makeIntList(H, 64));
+  RootScope Frame(H);
+  Value &List = Frame.slot(makeIntList(H, 64));
   allocGarbage(H, 500);
   H.minorGC();
   VerifyResult R = verifyHeap(H);
@@ -155,14 +145,14 @@ TEST(MinorGC, MixedObjectsAreScannedViaDescriptors) {
   VProcHeap &H = TW.heap();
   // A mixed type: [rawWord, ptr, rawWord] -- only word 1 is a pointer.
   uint16_t Id = TW.World.descriptors().registerMixed("triple", 3, {1});
-  GcFrame Frame(H);
-  Value &Inner = Frame.root(makeIntList(H, 3));
+  RootScope Frame(H);
+  Value &Inner = Frame.slot(makeIntList(H, 3));
   // The rooted variant re-reads Inner after the allocation: the raw
   // snapshot pattern breaks under GCConfig::StressGC, which collects
   // inside every allocation.
   Word Fields[3] = {0xDEAD, 0, 0xBEEF};
   Value *Slots[1] = {&Inner};
-  Value &Mixed = Frame.root(gcinternal::allocMixedRooted(H, Id, Fields, Slots));
+  Value &Mixed = Frame.slot(gcinternal::allocMixedRooted(H, Id, Fields, Slots));
   H.minorGC();
   EXPECT_EQ(mixedGetWord(Mixed, 0), 0xDEADu);
   EXPECT_EQ(mixedGetWord(Mixed, 2), 0xBEEFu);
@@ -177,8 +167,8 @@ TEST(MinorGC, AllocMixedRootedSurvivesMidAllocationCollection) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
   uint16_t Id = TW.World.descriptors().registerMixed("chain", 3, {0});
-  GcFrame Frame(H);
-  Value &Root = Frame.root(Value::nil());
+  RootScope Frame(H);
+  Value &Root = Frame.slot(Value::nil());
   const int64_t N = 20000; // far beyond one nursery
   for (int64_t I = 0; I < N; ++I) {
     Word Fields[3] = {Root.bits(), static_cast<Word>(I), 0};
@@ -201,12 +191,12 @@ TEST(MinorGC, SizeClassCacheServesHitsAndStaysVerifiable) {
   ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &A = Frame.root(cons(H, Value::fromInt(1), Value::nil()));
+  RootScope Frame(H);
+  Value &A = Frame.slot(cons(H, Value::fromInt(1), Value::nil()));
   EXPECT_GT(H.Stats.SizeClassMisses, 0u) << "first allocation is a refill";
   EXPECT_GT(H.sizeClassCachedRuns(), 0u) << "the refill parks spare runs";
-  Value &B = Frame.root(cons(H, Value::fromInt(2), A));
-  Value &C = Frame.root(cons(H, Value::fromInt(3), B));
+  Value &B = Frame.slot(cons(H, Value::fromInt(2), A));
+  Value &C = Frame.slot(cons(H, Value::fromInt(3), B));
   (void)C;
   EXPECT_GE(H.Stats.SizeClassHits, 2u) << "same-size allocations must hit";
   // verifyHeap aborts on any invariant violation: dormant runs must
@@ -228,8 +218,8 @@ TEST(MinorGC, SizeClassCacheIsInvalidatedByEveryCollectionFlavor) {
   Cfg.StressGCPeriod = 1u << 20;
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Live = Frame.root(Value::nil());
+  RootScope Frame(H);
+  Value &Live = Frame.slot(Value::nil());
 
   auto Populate = [&] {
     Live = cons(H, Value::fromInt(7), Value::nil());
@@ -263,10 +253,10 @@ TEST(MinorGC, SizeClassCacheIsInvalidatedByEveryCollectionFlavor) {
 TEST(MinorGC, RawObjectsAreNotScanned) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
+  RootScope Frame(H);
   // Raw payload that would look like a pointer if misinterpreted.
   uint64_t Bogus[4] = {0x10, 0x20, 0x30, 0x40};
-  Value &Raw = Frame.root(H.allocRaw(Bogus, sizeof(Bogus)));
+  Value &Raw = Frame.slot(H.allocRaw(Bogus, sizeof(Bogus)));
   H.minorGC();
   EXPECT_EQ(rawSizeBytes(Raw), sizeof(Bogus));
   EXPECT_EQ(static_cast<uint64_t *>(rawData(Raw))[3], 0x40u);

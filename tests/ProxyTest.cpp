@@ -5,10 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// Collector test: exercises the raw Value-level surface beneath the
-// handle layer on purpose.
-#define MANTI_GC_INTERNAL 1
-
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
 #include "gc/Proxy.h"
@@ -21,9 +17,9 @@ using namespace manti::test;
 TEST(Proxy, CreateAllocatesGlobalObject) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 4));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 4));
+  Value &P = Frame.slot(createProxy(H, Payload));
   EXPECT_TRUE(isProxy(P));
   EXPECT_TRUE(isGlobal(TW.World, P));
   EXPECT_FALSE(proxyResolved(P));
@@ -34,9 +30,9 @@ TEST(Proxy, CreateAllocatesGlobalObject) {
 TEST(Proxy, PayloadStaysLocalUntilResolved) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 4));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 4));
+  Value &P = Frame.slot(createProxy(H, Payload));
   EXPECT_TRUE(isLocalTo(H, proxyPayload(P)))
       << "the whole point of a proxy: global object, local payload";
   verifyHeap(H); // sanctioned exception must pass the invariant checker
@@ -45,9 +41,9 @@ TEST(Proxy, PayloadStaysLocalUntilResolved) {
 TEST(Proxy, OwnerMinorGCForwardsPayload) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 6));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 6));
+  Value &P = Frame.slot(createProxy(H, Payload));
   H.minorGC();
   // The payload moved out of the nursery; the proxy's slot must track it.
   Value NewPayload = proxyPayload(P);
@@ -58,12 +54,11 @@ TEST(Proxy, OwnerMinorGCForwardsPayload) {
 TEST(Proxy, PayloadSurvivesEvenWithoutOtherRoots) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value P;
-  Frame.root(P); // rooted before the proxy is stored into it
+  RootScope Frame(H);
+  Value &P = Frame.slot(Value::nil()); // rooted before the proxy lands
   {
-    GcFrame Inner(H);
-    Value &Payload = Inner.root(makeIntList(H, 9));
+    RootScope Inner(H);
+    Value &Payload = Inner.slot(makeIntList(H, 9));
     P = createProxy(H, Payload);
     // Payload's own root goes away here; only the proxy table keeps the
     // list alive.
@@ -77,10 +72,10 @@ TEST(Proxy, PayloadSurvivesEvenWithoutOtherRoots) {
 TEST(Proxy, ResolvePromotesPayload) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 5));
-  Value &P = Frame.root(createProxy(H, Payload));
-  Value &Global = Frame.root(resolveProxy(H, P));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 5));
+  Value &P = Frame.slot(createProxy(H, Payload));
+  Value &Global = Frame.slot(resolveProxy(H, P));
   EXPECT_TRUE(proxyResolved(P));
   EXPECT_TRUE(isGlobal(TW.World, Global));
   EXPECT_EQ(proxyPayload(P), Global);
@@ -91,9 +86,9 @@ TEST(Proxy, ResolvePromotesPayload) {
 TEST(Proxy, ResolvedProxySurvivesLocalGCsUntouched) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &Payload = Frame.root(makeIntList(H, 5));
-  Value &P = Frame.root(createProxy(H, Payload));
+  RootScope Frame(H);
+  Value &Payload = Frame.slot(makeIntList(H, 5));
+  Value &P = Frame.slot(createProxy(H, Payload));
   resolveProxy(H, P);
   H.majorGC();
   EXPECT_TRUE(proxyResolved(P));
@@ -104,8 +99,8 @@ TEST(Proxy, ResolvedProxySurvivesLocalGCsUntouched) {
 TEST(Proxy, IntPayloadNeedsNoHeap) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &P = Frame.root(createProxy(H, Value::fromInt(77)));
+  RootScope Frame(H);
+  Value &P = Frame.slot(createProxy(H, Value::fromInt(77)));
   EXPECT_EQ(proxyPayload(P).asInt(), 77);
   Value R = resolveProxy(H, P);
   EXPECT_EQ(R.asInt(), 77);
@@ -114,11 +109,11 @@ TEST(Proxy, IntPayloadNeedsNoHeap) {
 TEST(Proxy, MultipleProxiesTrackIndependently) {
   TestWorld TW;
   VProcHeap &H = TW.heap();
-  GcFrame Frame(H);
-  Value &PayA = Frame.root(makeIntList(H, 3));
-  Value &PayB = Frame.root(makeIntList(H, 7));
-  Value &PA = Frame.root(createProxy(H, PayA));
-  Value &PB = Frame.root(createProxy(H, PayB));
+  RootScope Frame(H);
+  Value &PayA = Frame.slot(makeIntList(H, 3));
+  Value &PayB = Frame.slot(makeIntList(H, 7));
+  Value &PA = Frame.slot(createProxy(H, PayA));
+  Value &PB = Frame.slot(createProxy(H, PayB));
   EXPECT_EQ(H.ProxyTable.size(), 2u);
   H.minorGC();
   EXPECT_EQ(listSum(proxyPayload(PA)), intListSum(3));
@@ -132,7 +127,7 @@ TEST(Proxy, DeathOnForeignResolve) {
   TestWorld TW(2);
   VProcHeap &H0 = TW.heap(0);
   VProcHeap &H1 = TW.heap(1);
-  GcFrame Frame(H0);
-  Value &P = Frame.root(createProxy(H0, Value::fromInt(1)));
+  RootScope Frame(H0);
+  Value &P = Frame.slot(createProxy(H0, Value::fromInt(1)));
   EXPECT_DEATH(resolveProxy(H1, P), "owning vproc");
 }

@@ -338,9 +338,9 @@ TEST(WorkStealing, ConcurrentMarkDuringParallelWork) {
           return W.globalGCCount() - W.concurrentGCCount();
         };
         const uint64_t Volume =
-            static_cast<uint64_t>(RT.config().GC.ConcurrentMarkWatermark *
-                                  static_cast<double>(
-                                      W.globalGCThresholdBytes())) +
+            static_cast<uint64_t>(
+                ConcurrentMarkWatermark *
+                static_cast<double>(W.globalGCThresholdBytes())) +
             GCWorld::WatermarkStrideBytes;
         uint64_t Start = VP.heap().Stats.PromoteBytes;
         uint64_t Stw = StwCount();

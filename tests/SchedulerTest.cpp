@@ -602,14 +602,20 @@ TEST(Scheduler, QueueDepthTeardownHammer) {
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Reads{0};
+  std::atomic<unsigned> ReadersPassed{0}; ///< readers done with one pass
   std::vector<std::thread> Readers;
   for (int T = 0; T < 2; ++T) {
     Readers.emplace_back([&] {
       uint64_t Sink = 0;
+      bool Passed = false;
       while (!Stop.load(std::memory_order_acquire)) {
         for (unsigned V = 0; V < 4; ++V)
           Sink += RT.vproc(V).queueDepth();
         Reads.fetch_add(1, std::memory_order_relaxed);
+        if (!Passed) {
+          Passed = true;
+          ReadersPassed.fetch_add(1, std::memory_order_release);
+        }
       }
       if (Sink == ~0ull)
         std::abort(); // keep the reads observable
@@ -634,6 +640,13 @@ TEST(Scheduler, QueueDepthTeardownHammer) {
         nullptr);
     EXPECT_EQ(Remaining.load(), 0);
   }
+  // The runs take ~2 ms: on a loaded host a reader may not have had a
+  // CPU yet. Let each finish one full pass before stopping it, with a
+  // bound so a stuck reader fails the check below instead of hanging.
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ReadersPassed.load(std::memory_order_acquire) < Readers.size() &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
   Stop.store(true, std::memory_order_release);
   for (std::thread &R : Readers)
     R.join();

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <random>
 #include <set>
 #include <thread>
@@ -235,6 +236,58 @@ TEST(Structures, EpochSkipListManyKeysOrdered) {
       << "after drain every retired node must be reclaimed";
   EXPECT_EQ(St.RetiredBytes, St.ReclaimedBytes);
   EXPECT_GT(St.EpochAdvances, 0u) << "the global epoch never advanced";
+}
+
+//===----------------------------------------------------------------------===//
+// Lifetime roots vs. RootScope nesting
+//===----------------------------------------------------------------------===//
+
+// A GcList roots its head slot for its whole lifetime, independent of
+// any RootScope. Scopes that close around it, or open before it dies,
+// must neither drop that root nor leave a dangling registration behind.
+
+TEST(StructuresRooting, GcListOutlivesTheScopeItWasBuiltIn) {
+  TestWorld TW;
+  VProcHeap &H = TW.heap();
+  GcReclaimer R(1);
+  std::optional<GcList> S;
+  {
+    RootScope Scope(H);
+    S.emplace(H, R);
+  } // closes before the list does
+  for (int64_t K = 0; K < 64; ++K)
+    ASSERT_TRUE(S->insert(H, K));
+  // A copying collection moves the head: only a registered root follows.
+  TW.World.requestGlobalGC();
+  H.safePoint();
+  ASSERT_EQ(TW.World.globalGCCount(), 1u);
+  for (int64_t K = 0; K < 64; ++K)
+    EXPECT_TRUE(S->contains(H, K)) << "key " << K;
+  EXPECT_FALSE(S->contains(H, 64));
+  verifyHeap(H);
+  S.reset();
+}
+
+TEST(StructuresRooting, GcListDestroyedWhileALaterScopeIsOpen) {
+  TestWorld TW;
+  VProcHeap &H = TW.heap();
+  GcReclaimer R(1);
+  RootScope Outer(H);
+  Ref<> Keep = Outer.root(makeIntList(H, 16));
+  std::optional<GcList> S(std::in_place, H, R);
+  ASSERT_TRUE(S->insert(H, 5));
+  {
+    RootScope Later(H);
+    Ref<> Tmp = Later.root(makeIntList(H, 4));
+    S.reset();
+    EXPECT_EQ(listSum(Tmp), intListSum(4));
+  }
+  // Every registered slot is visited here: a dangling one would crash.
+  H.minorGC();
+  TW.World.requestGlobalGC();
+  H.safePoint();
+  EXPECT_EQ(listSum(Keep), intListSum(16));
+  verifyHeap(H);
 }
 
 //===----------------------------------------------------------------------===//

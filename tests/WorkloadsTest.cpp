@@ -87,8 +87,8 @@ struct RootSortPack {
 void rootSortTask(Runtime &RT, VProc &VP, Task T) {
   auto *Pack = static_cast<RootSortPack *>(T.Ctx);
   RootScope Scope(VP.heap());
-  Scope.rootExternal(T.Env);
-  Ref<> Out = Scope.root(quicksort(RT, VP, T.Env, Pack->Cutoff));
+  Ref<> Env = Scope.root(T.Env);
+  Ref<> Out = Scope.root(quicksort(RT, VP, Env, Pack->Cutoff));
   int64_t N = rope::length(Out);
   Pack->Sorted = true;
   for (int64_t I = 1; I < N && Pack->Sorted; ++I)
@@ -478,11 +478,7 @@ TEST(SmvmWL, ProblemShapesMatchPaper) {
   // Build a scaled-down instance and check CSR structure.
   P.NumRows = 100;
   P.NumNonZeros = 1000;
-  SmvmProblem Prob = makeProblem(TW.heap(), P);
-  Scope.rootExternal(Prob.RowPtr);
-  Scope.rootExternal(Prob.ColIdx);
-  Scope.rootExternal(Prob.Vals);
-  Scope.rootExternal(Prob.X);
+  SmvmProblem Prob = makeProblem(Scope, P);
   const auto *RowPtr = static_cast<const int64_t *>(rawData(Prob.RowPtr));
   EXPECT_EQ(RowPtr[0], 0);
   EXPECT_EQ(RowPtr[100], 1000);
