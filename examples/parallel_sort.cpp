@@ -54,6 +54,12 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(S.MajorPause.count()));
   std::printf("  promotions:        %llu (stolen sub-sorts)\n",
               static_cast<unsigned long long>(S.PromoteCalls));
+  std::printf("  global collections: %llu (peak live %.1f MB; copy phase: "
+              "%llu minor faults, %.1f ms system time)\n",
+              static_cast<unsigned long long>(RT.world().globalGCCount()),
+              static_cast<double>(RT.world().peakLiveBytes()) / 1e6,
+              static_cast<unsigned long long>(S.GlobalMarkMinorFaults),
+              static_cast<double>(S.GlobalMarkSysNanos) / 1e6);
   SchedStats Sched = RT.aggregateSchedStats();
   std::printf("  tasks stolen:      %llu (%llu batches, %.1f%% node-local)\n",
               static_cast<unsigned long long>(Sched.TasksStolen),

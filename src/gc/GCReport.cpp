@@ -219,7 +219,9 @@ Report manti::buildGCReport(GCWorld &World) {
   // the stopped terminal re-mark -- the bulk of tracing overlaps
   // mutation and never appears as pause. safepoint_us is the longest
   // stop-the-world time-to-safepoint (mutator time the others wait
-  // out), and safepoint_vproc the vproc that took it.
+  // out), and safepoint_vproc the vproc that took it. mark_minflt and
+  // mark_sys_us are the stop-the-world copy's kernel cost, summed over
+  // vprocs and collections (GCStats::GlobalMarkMinorFaults).
   unsigned Slowest = 0;
   for (unsigned I = 1; I < World.numVProcs(); ++I)
     if (World.heap(I).Stats.GlobalSafepointWait.maxNanos() >
@@ -234,6 +236,10 @@ Report manti::buildGCReport(GCWorld &World) {
       .metric("mark_us",
               static_cast<double>(S.GlobalMarkPause.maxNanos()) / 1e3,
               Report::Unit::Micros, "max stopped mark")
+      .metric("mark_minflt", static_cast<double>(S.GlobalMarkMinorFaults),
+              Report::Unit::Count, "copy minor faults (total)")
+      .metric("mark_sys_us", static_cast<double>(S.GlobalMarkSysNanos) / 1e3,
+              Report::Unit::Micros, "copy system time (total)")
       .metric("sweep_us",
               static_cast<double>(S.GlobalSweepPause.maxNanos()) / 1e3,
               Report::Unit::Micros, "max sweep")

@@ -49,6 +49,13 @@ struct GCStats {
   DurationStat GlobalMarkPause;       ///< tracing the mutator waited on
   DurationStat GlobalSweepPause;      ///< sweep / from-space release
 
+  /// Kernel cost of the stop-the-world collector's copy (phases 3-4,
+  /// the GlobalMarkPause window), from getrusage(RUSAGE_THREAD) deltas
+  /// this vproc took around it: minor page faults (mostly first touches
+  /// of fresh to-space pages) and system CPU time.
+  uint64_t GlobalMarkMinorFaults = 0;
+  uint64_t GlobalMarkSysNanos = 0;
+
   /// Time-to-safepoint of the stop-the-world collector: from the
   /// request to this vproc's arrival in the collection. Mutator time,
   /// not pause, so maxPauseNanos() leaves it out.
@@ -103,6 +110,8 @@ struct GCStats {
     GlobalRendezvousPause.merge(O.GlobalRendezvousPause);
     GlobalMarkPause.merge(O.GlobalMarkPause);
     GlobalSweepPause.merge(O.GlobalSweepPause);
+    GlobalMarkMinorFaults += O.GlobalMarkMinorFaults;
+    GlobalMarkSysNanos += O.GlobalMarkSysNanos;
     GlobalSafepointWait.merge(O.GlobalSafepointWait);
     BytesAllocatedLocal += O.BytesAllocatedLocal;
     BytesAllocatedGlobal += O.BytesAllocatedGlobal;

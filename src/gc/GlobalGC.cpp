@@ -41,6 +41,8 @@
 #include <mutex>
 #include <thread>
 
+#include <sys/resource.h>
+
 namespace manti {
 
 /// Shared state for one (or more, serially) global collections. Owned by
@@ -91,6 +93,26 @@ void GlobalCollectionDeleter::operator()(GlobalCollection *GC) const {
 }
 
 namespace {
+
+/// The calling thread's cumulative minor faults and system CPU time
+/// (zero where the OS has no per-thread usage).
+struct ThreadUsage {
+  uint64_t MinorFaults = 0;
+  uint64_t SysNanos = 0;
+
+  static ThreadUsage now() {
+    ThreadUsage U;
+#if defined(RUSAGE_THREAD)
+    struct rusage RU;
+    if (getrusage(RUSAGE_THREAD, &RU) == 0) {
+      U.MinorFaults = static_cast<uint64_t>(RU.ru_minflt);
+      U.SysNanos = static_cast<uint64_t>(RU.ru_stime.tv_sec) * 1000000000u +
+                   static_cast<uint64_t>(RU.ru_stime.tv_usec) * 1000u;
+    }
+#endif
+    return U;
+  }
+};
 
 /// Per-vproc scanning state for one global collection.
 class GlobalScanner {
@@ -319,12 +341,18 @@ void GlobalCollection::participate(VProcHeap &H) {
 
   {
     ScopedTimer Mark(H.Stats.GlobalMarkPause);
+    // Two syscalls per vproc per collection attribute the copy's kernel
+    // time: the to-space pages it touches first fault in here.
+    ThreadUsage Before = ThreadUsage::now();
     // Phase 3 + 4: roots, local heap, then cooperative parallel scan.
     GlobalScanner Scanner(H, *this);
     Scanner.forwardRootsAndLocalHeap();
     if (Leader)
       Scanner.forwardGlobalRoots();
     Scanner.scanLoop();
+    ThreadUsage After = ThreadUsage::now();
+    H.Stats.GlobalMarkMinorFaults += After.MinorFaults - Before.MinorFaults;
+    H.Stats.GlobalMarkSysNanos += After.SysNanos - Before.SysNanos;
   }
 
   // Phase 5: return from-space to the free pool and resume.

@@ -230,8 +230,9 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
       MANTI_CHECK(Count >= 1 && Count <= MaxTaskBatch,
                   "steal batch out of range");
       // Run the oldest task directly -- no safe point between here and
-      // runTask's rooting -- and queue the rest (oldest first, so the
-      // local LIFO end still prefers the newest work).
+      // the body's first read or root of its environment -- and queue
+      // the rest (oldest first, so the local LIFO end still prefers the
+      // newest work).
       Task First = Req.Stolen[0];
       for (unsigned I = 1; I < Count; ++I)
         Thief.enqueueStolen(Req.Stolen[I]);

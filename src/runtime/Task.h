@@ -41,6 +41,9 @@ class Runtime;
 class VProc;
 struct Task;
 
+/// A task body. \p T is a by-value copy that no collection updates, so
+/// the body reads T.Env before its first allocation or safe point, or
+/// roots it first (see Task::Env).
 using TaskFn = void (*)(Runtime &RT, VProc &VP, Task T);
 
 struct Task {
@@ -49,6 +52,11 @@ struct Task {
 
   TaskFn Fn = nullptr;
   void *Ctx = nullptr;
+  /// Rooted while the task waits in a queue or a steal batch, and
+  /// unrooted once its body starts: from then on it lives only where
+  /// the body roots it, so it dies at its last use instead of when the
+  /// task returns. A body that reads it after an allocation or a safe
+  /// point roots it first (`Ref<> E = Scope.root(T.Env)`).
   Value Env;
   int64_t A = 0;
   int64_t B = 0;

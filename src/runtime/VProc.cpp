@@ -6,7 +6,6 @@
 
 #include "runtime/VProc.h"
 
-#include "gc/Handles.h"
 #include "runtime/Runtime.h"
 #include "runtime/Scheduler.h"
 #include "support/Assert.h"
@@ -89,11 +88,7 @@ unsigned VProc::popForSteal(NodeId ThiefNode, unsigned Max, Task *Out,
   return N;
 }
 
-void VProc::runTask(Task T) {
-  RootScope Scope(Heap);
-  Scope.slot(T.Env); // keep the environment rooted while it runs
-  T.Fn(RT, *this, T);
-}
+void VProc::runTask(Task T) { T.Fn(RT, *this, T); }
 
 bool VProc::serviceSteal() { return RT.scheduler().serviceSteal(*this); }
 

@@ -144,7 +144,9 @@ public:
   /// Takes safe points, so callers keep their live values rooted.
   void joinWait(JoinCounter &Join);
 
-  /// Runs \p T with its environment rooted.
+  /// Runs \p T. Its environment is not rooted here: from the body's
+  /// first instruction it lives only where the body roots it (see
+  /// Task::Env).
   void runTask(Task T);
 
   /// Owner-thread pop of up to \p Max tasks from the steal (oldest) end

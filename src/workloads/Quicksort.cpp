@@ -20,9 +20,9 @@ using namespace manti::workloads;
 
 namespace {
 
-/// Sorts the rope rooted in \p In and clears \p In as soon as its
-/// elements live elsewhere, so a dead input is not copied by the next
-/// global collection.
+/// Sorts the rope rooted in \p In and clears \p In before anything
+/// allocates, so the input dies piece by piece as it is partitioned and
+/// the next global collection copies none of it.
 Value sortRope(Runtime &RT, VProc &VP, Ref<> &In, int64_t Cutoff);
 
 /// Shared state for one spawned sub-sort.
@@ -170,8 +170,11 @@ Partition partition(RootScope &S, Runtime &RT, VProc &VP, Value R,
 
   PartSplit Split(VP, Pivot);
   VP.spawn({partitionTask, &Split, Right, 0, 0});
-  Partition L = partition(S, RT, VP, Left, Pivot);
+  // The recursion reads the left child before it allocates, so the
+  // child dies as its pieces are filtered.
+  Value LeftRope = Left;
   Left = Value::nil();
+  Partition L = partition(S, RT, VP, LeftRope, Pivot);
   VP.joinWait(Split.Join);
   Ref<> Less = S.root(Split.Less.take());
   Ref<> Equal = S.root(Split.Equal.take());
@@ -195,9 +198,11 @@ Value sortRope(Runtime &RT, VProc &VP, Ref<> &In, int64_t Cutoff) {
   int64_t C = rope::getInt(In, N - 1);
   int64_t Pivot = std::max(std::min(A, B), std::min(std::max(A, B), C));
 
+  // partition reads R before it allocates, so no root need hold it.
   RootScope S(VP.heap());
-  Partition P = partition(S, RT, VP, In, Pivot);
+  Value R = In;
   In = Value::nil();
+  Partition P = partition(S, RT, VP, R, Pivot);
 
   // Fork: sort the greater partition as a stealable task whose
   // environment is the rope itself; sort the lesser partition here.

@@ -8,6 +8,7 @@
 #include "gc/HeapVerifier.h"
 #include "runtime/Parallel.h"
 #include "runtime/ParkLot.h"
+#include "runtime/Rope.h"
 #include "runtime/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -239,6 +240,55 @@ TEST(ResultCell, TakeMovesTheValueOut) {
       nullptr);
   EXPECT_EQ(FirstSum, 7);
   EXPECT_TRUE(SecondNil);
+}
+
+TEST(Runtime, TaskEnvironmentDiesAtItsLastUse) {
+  // runTask does not root a task's environment: once the body has read
+  // it and cleared its own root, a global collection must not copy it.
+  // One vproc runs the task itself, inside joinWait, so the collection
+  // falls at one known point.
+  Runtime RT(testRuntimeConfig(1), Topology::singleNode(1));
+  constexpr int64_t EnvElems = 128 * 1024; // 1 MiB of elements
+  struct Probe {
+    JoinCounter Join{1};
+    int64_t Sum = -1;
+    uint64_t CollectionsRun = 0;
+    uint64_t LiveAfter = ~uint64_t(0);
+  };
+  Probe P;
+  RT.run(
+      [](Runtime &, VProc &VP, void *Ctx) {
+        auto &P = *static_cast<Probe *>(Ctx);
+        RootScope Scope(VP.heap());
+        std::vector<uint64_t> Data(EnvElems);
+        std::iota(Data.begin(), Data.end(), uint64_t(0));
+        Ref<> Env = rope::fromArray(Scope, Data.data(), EnvElems);
+        Env = VP.heap().promote(Env);
+        VP.spawn({[](Runtime &RT, VProc &VP, Task T) {
+                    auto &P = *static_cast<Probe *>(T.Ctx);
+                    RootScope S(VP.heap());
+                    Ref<> E = S.root(T.Env);
+                    int64_t Sum = 0;
+                    for (int64_t I = 0, N = rope::length(E); I < N; ++I)
+                      Sum += rope::getInt(E, I);
+                    P.Sum = Sum;
+                    E = Value::nil(); // the environment's last use
+                    uint64_t Before = RT.world().globalGCCount();
+                    RT.world().requestGlobalGC();
+                    VP.heap().safePoint();
+                    P.CollectionsRun = RT.world().globalGCCount() - Before;
+                    P.LiveAfter = RT.world().chunks().activeBytes();
+                    P.Join.sub();
+                  },
+                  &P, Env, 0, 0});
+        Env = Value::nil(); // the queued task alone holds it now
+        VP.joinWait(P.Join);
+      },
+      &P);
+  EXPECT_EQ(P.Sum, EnvElems * (EnvElems - 1) / 2);
+  ASSERT_EQ(P.CollectionsRun, 1u);
+  EXPECT_LT(P.LiveAfter, uint64_t(EnvElems) * 8 / 2)
+      << "the environment's bytes stayed live after its last use";
 }
 
 TEST(WorkStealing, StealsHappenAcrossVProcs) {
