@@ -134,10 +134,7 @@ void runRow(benchutil::JsonReport &Json, const char *Machine,
                {"max_pause_us", MaxPauseUs},
                {"global_gcs", GlobalGCs},
                {"misses", static_cast<double>(R.Misses)},
-               {"corruptions", static_cast<double>(R.Corruptions)},
-               {"sizeclass_hits", Rep.value("alloc.sizeclass.hits")},
-               {"sizeclass_misses", Rep.value("alloc.sizeclass.misses")},
-               {"sizeclass_flushes", Rep.value("alloc.sizeclass.flushes")}});
+               {"corruptions", static_cast<double>(R.Corruptions)}});
   std::printf("%-8s %-10s %5u %5.2f %9.0f %9.0f %8.0f %8.0f %8.0f %8.0f "
               "%9.1f %4.0f %7llu %7llu\n",
               Machine, GC.Name, Traffic.ValueBytes, LoadFactor, R.OfferedRps,

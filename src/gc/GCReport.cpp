@@ -181,16 +181,6 @@ Report manti::buildGCReport(GCWorld &World) {
       .metric("global_bytes", static_cast<double>(S.BytesAllocatedGlobal),
               Report::Unit::Bytes, "global");
 
-  // Small-vector size-class cache effectiveness (keys alloc.sizeclass.*;
-  // the serving/structures bench JSON rows carry hits/misses per cell).
-  R.section("alloc")
-      .metric("sizeclass.hits", static_cast<double>(S.SizeClassHits),
-              Report::Unit::Count, "size-class cache hits")
-      .metric("sizeclass.misses", static_cast<double>(S.SizeClassMisses),
-              Report::Unit::Count, "misses")
-      .metric("sizeclass.flushes", static_cast<double>(S.SizeClassFlushes),
-              Report::Unit::Count, "collection flushes");
-
   auto Phase = [&](const char *Name, const DurationStat &D, uint64_t Bytes,
                    const char *CopiedLabel) -> Report & {
     return R.section(Name)

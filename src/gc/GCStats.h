@@ -65,12 +65,11 @@ struct GCStats {
   uint64_t BytesAllocatedLocal = 0;
   uint64_t BytesAllocatedGlobal = 0;
 
-  // Size-class cache effectiveness (small-vector allocation): pops from
-  // a per-vproc freelist vs. refills/misses, and how many times a
-  // collection dropped the whole cache.
+  // Retired size-class cache counters: nothing increments them. They
+  // stay only because the repo benchmark's gc.sizeclass.hit_ratio reads
+  // them, and go with that metric.
   uint64_t SizeClassHits = 0;
   uint64_t SizeClassMisses = 0;
-  uint64_t SizeClassFlushes = 0;
 
   // Chunk acquisitions by synchronization class (paper Sections 3.1 and
   // 3.4): served from this vproc's node shard, stolen from another
@@ -115,9 +114,6 @@ struct GCStats {
     GlobalSafepointWait.merge(O.GlobalSafepointWait);
     BytesAllocatedLocal += O.BytesAllocatedLocal;
     BytesAllocatedGlobal += O.BytesAllocatedGlobal;
-    SizeClassHits += O.SizeClassHits;
-    SizeClassMisses += O.SizeClassMisses;
-    SizeClassFlushes += O.SizeClassFlushes;
     ChunkLocalReuses += O.ChunkLocalReuses;
     ChunkCrossNodeSteals += O.ChunkCrossNodeSteals;
     ChunkFreshRegistrations += O.ChunkFreshRegistrations;

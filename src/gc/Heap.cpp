@@ -142,7 +142,6 @@ void GCWorld::noteLiveAfterCollection(uint64_t Live) {
   uint64_t Base =
       static_cast<uint64_t>(Config.GlobalGCBytesPerVProc) * numVProcs();
   GlobalGCThreshold.store(std::max(Base, 2 * Live), std::memory_order_relaxed);
-  GlobalLiveBytes.store(Live, std::memory_order_relaxed);
   if (Live > PeakLiveBytes.load(std::memory_order_relaxed))
     PeakLiveBytes.store(Live, std::memory_order_relaxed);
 }
@@ -416,102 +415,28 @@ Word *VProcHeap::allocSlowPath(uint16_t Id, uint64_t LenWords) {
 // Public allocators
 //===----------------------------------------------------------------------===//
 
-/// Vectors larger than a quarter of the local heap are allocated in the
-/// global heap directly (the paper's workloads use rope-like segmented
-/// structures for bulk data; this is the corresponding large-object
-/// escape hatch).
-bool VProcHeap::vectorIsOversized(std::size_t N) const {
-  return (std::max<uint64_t>(1, N) + 1) * sizeof(Word) >
-         World.Config.LocalHeapBytes / 4;
-}
-
-/// Number of equally-sized runs a size-class refill tries to carve in
-/// one nursery bump. One batch pays one stress gate and one limit check;
-/// the remaining Runs-1 allocations of this size are freelist pops.
-static constexpr uint64_t SizeClassBatchRuns = 8;
-
-Word *VProcHeap::sizeClassRefill(uint64_t LenWords) {
-  if (LenWords > SizeClassCacheState::MaxWords)
-    return allocLocalObject(IdVector, LenWords);
-  // One stress gate per batch (not per run): carving run-by-run through
-  // allocLocalObject would collect -- and flush -- between runs, so the
-  // cache could never hold anything under MANTI_STRESS_GC=1.
-  if (MANTI_UNLIKELY(World.Config.StressGC))
-    stressGCBeforeAlloc();
-  const uint64_t Foot = LenWords + 1;
-  uint64_t Runs = SizeClassBatchRuns;
-  Word *Block = Local.tryAllocRun(Runs * Foot);
-  if (!Block) {
-    Runs = 1;
-    Block = Local.tryAllocRun(Foot);
-  }
-  if (!Block) {
-    // Nursery exhausted (or limit signalled): the generic slow path
-    // collects and retries. It does not bump BytesAllocatedLocal, so
-    // account for the single object here.
-    Stats.BytesAllocatedLocal += Foot * sizeof(Word);
-    return allocSlowPath(IdVector, LenWords);
-  }
-  Stats.BytesAllocatedLocal += Runs * Foot * sizeof(Word);
-  // First run is the live result; the rest are parked as dormant IdRaw
-  // objects (valid headers keep the nursery walkable; IdRaw fields are
-  // never scanned) chained through their first data word.
-  Block[0] = makeHeader(IdVector, LenWords);
-  Word *First = Block + 1;
-  for (uint64_t R = 1; R < Runs; ++R) {
-    Word *Hdr = Block + R * Foot;
-    Hdr[0] = makeHeader(IdRaw, LenWords);
-    Word *Run = Hdr + 1;
-    Run[0] = reinterpret_cast<Word>(SizeClasses.Heads[LenWords]);
-    SizeClasses.Heads[LenWords] = Run;
-    ++SizeClasses.CachedRuns;
-  }
-  return First;
-}
-
-void VProcHeap::sizeClassFlush() {
-  if (SizeClasses.CachedRuns == 0)
-    return;
-  for (auto &Head : SizeClasses.Heads)
-    Head = nullptr;
-  SizeClasses.CachedRuns = 0;
-  ++Stats.SizeClassFlushes;
-}
-
 Value VProcHeap::allocVectorSlow(const Value *Elems, std::size_t N) {
-  uint64_t LenWords = std::max<uint64_t>(1, N);
-  if (vectorIsOversized(N)) {
-    // The object lands in the global heap, so its elements must be
-    // global first (no global-to-local pointers). Promote them in place:
-    // Elems points at rooted slots, so rewriting them is sound, and the
-    // husks left behind repair any other copies at the next minor GC.
-    if (Elems)
-      for (std::size_t I = 0; I < N; ++I)
-        const_cast<Value *>(Elems)[I] = promote(Elems[I]);
-    return allocGlobalVector(Elems, N);
-  }
-  ++Stats.SizeClassMisses;
-  Word *Obj = sizeClassRefill(LenWords);
-  Obj[LenWords - 1] = Value::nil().bits();
-  for (std::size_t I = 0; I < N; ++I)
-    Obj[I] = Elems ? Elems[I].bits() : Value::nil().bits();
-  return Value::fromPtr(Obj);
+  // The object lands in the global heap, so its elements must be global
+  // first (no global-to-local pointers). Promote them in place: Elems
+  // points at rooted slots, so rewriting them is sound, and the husks
+  // left behind repair any other copies at the next minor GC.
+  if (Elems)
+    for (std::size_t I = 0; I < N; ++I)
+      const_cast<Value *>(Elems)[I] = promote(Elems[I]);
+  return allocGlobalVector(Elems, N);
 }
 
 Value VProcHeap::allocVectorFillSlow(std::size_t N, Value FillIn) {
   uint64_t LenWords = std::max<uint64_t>(1, N);
   RootScope S(*this);
   Value &Fill = S.slot(FillIn);
+  Word *Obj;
   if (vectorIsOversized(N)) {
     Fill = promote(Fill);
-    Word *Obj = globalAllocObject(IdVector, LenWords);
-    Obj[LenWords - 1] = Value::nil().bits();
-    for (std::size_t I = 0; I < N; ++I)
-      Obj[I] = Fill.bits();
-    return Value::fromPtr(Obj);
+    Obj = globalAllocObject(IdVector, LenWords);
+  } else {
+    Obj = allocLocalObject(IdVector, LenWords);
   }
-  ++Stats.SizeClassMisses;
-  Word *Obj = sizeClassRefill(LenWords);
   Obj[LenWords - 1] = Value::nil().bits();
   for (std::size_t I = 0; I < N; ++I)
     Obj[I] = Fill.bits();

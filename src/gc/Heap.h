@@ -246,10 +246,9 @@ public:
   Value allocRaw(const void *Data, std::size_t Bytes);
 
   /// Allocates a vector of \p N values. \p Elems (when non-null) points
-  /// at N *rooted* slots that are re-read after any collection. Small
-  /// vectors are served from the per-vproc size-class cache when a run
-  /// is available (inline fast path below); everything else takes
-  /// allocVectorSlow.
+  /// at N *rooted* slots that are re-read after any collection. The
+  /// common case is one nursery bump (inline below); a vector too large
+  /// for the local heap goes to the global heap (allocVectorSlow).
   Value allocVector(const Value *Elems, std::size_t N);
 
   /// Allocates a vector of \p N copies of a non-pointer \p Fill value.
@@ -372,14 +371,6 @@ public:
     return N;
   }
 
-  /// Number of runs currently parked in the size-class cache (tests).
-  uint64_t sizeClassCachedRuns() const { return SizeClasses.CachedRuns; }
-
-  /// Drops every cached size-class run. Called by the collectors at the
-  /// start of each minor and major collection: the runs live in the
-  /// nursery, which the collection is about to recycle.
-  void sizeClassFlush();
-
   //===--------------------------------------------------------------------===//
   // Internal state shared with the collector implementation files.
   //===--------------------------------------------------------------------===//
@@ -427,29 +418,12 @@ private:
   Word *allocSlowPath(uint16_t Id, uint64_t LenWords);
   Value allocVectorSlow(const Value *Elems, std::size_t N);
   Value allocVectorFillSlow(std::size_t N, Value Fill);
-  /// Batch-carves a run of same-size vector shells off the nursery: the
-  /// first is returned (header written), the rest are parked in the
-  /// size-class freelist as dormant IdRaw objects.
-  Word *sizeClassRefill(uint64_t LenWords);
-  Word *sizeClassTryPop(uint64_t LenWords);
   void stressGCBeforeAlloc();
   bool vectorIsOversized(std::size_t N) const;
   /// Slow-path entry: takes the steal flag, restores a zeroed limit, and
   /// answers the steal mailbox through the steal hook if the flag was
   /// set.
   void takeLimitSignal();
-
-  /// Per-vproc size-class cache for small vector allocation: Heads[L] is
-  /// an intrusive freelist (linked through each run's first data word)
-  /// of dormant L-word runs carved off this vproc's nursery. Dormant
-  /// runs carry valid IdRaw headers so the nursery stays walkable; a pop
-  /// rewrites the header to IdVector (same footprint). No locks: only
-  /// the owning vproc touches it, and every collection flushes it.
-  struct SizeClassCacheState {
-    static constexpr uint64_t MaxWords = 16;
-    Word *Heads[MaxWords + 1] = {};
-    uint64_t CachedRuns = 0;
-  };
 
   GCWorld &World;
   unsigned Id;
@@ -458,7 +432,6 @@ private:
   NodeId LocalHeapHome;
   void *LocalMem;
   LocalHeap Local;
-  SizeClassCacheState SizeClasses;
   /// Root slots registered for a structure's lifetime (addLifetimeRoot).
   std::vector<Value *> LifetimeRoots;
   uint64_t StressTick = 0; ///< StressGCPeriod schedule position
@@ -702,10 +675,8 @@ private:
   std::atomic<int64_t> GlobalRequestNanos{0};
   std::atomic<uint64_t> ConcurrentGCsCompleted{0};
   std::atomic<uint64_t> GlobalGCThreshold;
-  /// Active bytes at the end of the last completed global collection --
-  /// the live-estimate base the watermark trigger projects from.
-  std::atomic<uint64_t> GlobalLiveBytes{0};
-  /// The largest GlobalLiveBytes any collection has left.
+  /// The largest active-bytes total any completed global collection has
+  /// left (noteLiveAfterCollection).
   std::atomic<uint64_t> PeakLiveBytes{0};
   Barrier GCBarrier;
   std::unique_ptr<GlobalCollection, GlobalCollectionDeleter> GCState;
@@ -845,46 +816,37 @@ inline Value VProcHeap::allocRaw(const void *Data, std::size_t Bytes) {
   return Value::fromPtr(Obj);
 }
 
-/// Pops a dormant run from the size-class cache, or returns null to send
-/// the caller down allocVectorSlow. The limitSignalled bail-out matters:
-/// the hit path skips tryAlloc's limit check, and a zeroed limit is how
-/// other vprocs summon this one to a rendezvous -- serving cached runs
-/// through a pending signal would stall a stop-the-world collection.
-inline Word *VProcHeap::sizeClassTryPop(uint64_t LenWords) {
-  if (LenWords > SizeClassCacheState::MaxWords)
-    return nullptr;
-  Word *Run = SizeClasses.Heads[LenWords];
-  if (!Run)
-    return nullptr;
-  if (MANTI_UNLIKELY(Local.limitSignalled()))
-    return nullptr;
-  SizeClasses.Heads[LenWords] = reinterpret_cast<Word *>(Run[0]);
-  --SizeClasses.CachedRuns;
-  ++Stats.SizeClassHits;
-  headerOf(Run) = makeHeader(IdVector, LenWords);
-  return Run;
+/// Vectors larger than a quarter of the local heap are allocated in the
+/// global heap directly (the paper's workloads use rope-like segmented
+/// structures for bulk data; this is the corresponding large-object
+/// escape hatch).
+inline bool VProcHeap::vectorIsOversized(std::size_t N) const {
+  return (std::max<uint64_t>(1, N) + 1) * sizeof(Word) >
+         World.Config.LocalHeapBytes / 4;
 }
 
 inline Value VProcHeap::allocVector(const Value *Elems, std::size_t N) {
+  if (MANTI_UNLIKELY(vectorIsOversized(N)))
+    return allocVectorSlow(Elems, N);
   uint64_t LenWords = std::max<uint64_t>(1, N);
-  if (Word *Obj = sizeClassTryPop(LenWords)) {
-    Obj[LenWords - 1] = Value::nil().bits(); // N == 0 pads one nil word
-    for (std::size_t I = 0; I < N; ++I)
-      Obj[I] = Elems ? Elems[I].bits() : Value::nil().bits();
-    return Value::fromPtr(Obj);
-  }
-  return allocVectorSlow(Elems, N);
+  Word *Obj = allocLocalObject(IdVector, LenWords);
+  Obj[LenWords - 1] = Value::nil().bits(); // N == 0 pads one nil word
+  for (std::size_t I = 0; I < N; ++I)
+    Obj[I] = Elems ? Elems[I].bits() : Value::nil().bits();
+  return Value::fromPtr(Obj);
 }
 
+/// A pointer Fill must be rooted across the allocation, so only
+/// non-pointer fills take the inline bump.
 inline Value VProcHeap::allocVectorFill(std::size_t N, Value Fill) {
+  if (MANTI_UNLIKELY(Fill.isPtr() || vectorIsOversized(N)))
+    return allocVectorFillSlow(N, Fill);
   uint64_t LenWords = std::max<uint64_t>(1, N);
-  if (Word *Obj = sizeClassTryPop(LenWords)) {
-    Obj[LenWords - 1] = Value::nil().bits();
-    for (std::size_t I = 0; I < N; ++I)
-      Obj[I] = Fill.bits();
-    return Value::fromPtr(Obj);
-  }
-  return allocVectorFillSlow(N, Fill);
+  Word *Obj = allocLocalObject(IdVector, LenWords);
+  Obj[LenWords - 1] = Value::nil().bits();
+  for (std::size_t I = 0; I < N; ++I)
+    Obj[I] = Fill.bits();
+  return Value::fromPtr(Obj);
 }
 
 } // namespace manti

@@ -96,19 +96,6 @@ public:
     return Hdr + 1;
   }
 
-  /// Bump-allocates \p TotalWords raw words in the nursery without
-  /// writing a header; the caller lays out one or more headed objects in
-  /// the block itself (the size-class refill carves a whole batch of
-  /// runs in one bump). Null under the same conditions as tryAlloc.
-  Word *tryAllocRun(uint64_t TotalWords) {
-    Word *Blk = AllocPtr;
-    Word *NewTop = Blk + TotalWords;
-    if (NewTop > Limit.load(std::memory_order_relaxed))
-      return nullptr;
-    AllocPtr = NewTop;
-    return Blk;
-  }
-
   /// Zeroes the allocation limit; the owning vproc will take the slow
   /// path on its next allocation. Called by the global-GC leader.
   void signalLimit() { Limit.store(Base, std::memory_order_release); }

@@ -127,11 +127,6 @@ void manti::majorGCImpl(VProcHeap &H, EvacuateMode Mode) {
   ScopedTimer Timer(H.Stats.MajorPause);
   const ObjectDescriptorTable &Descs = H.world().descriptors();
 
-  // Cached size-class runs live in the nursery; an AllLocal evacuation
-  // empties the whole local heap (and even OldOnly resplits the
-  // nursery), so the cache must not survive either mode.
-  H.sizeClassFlush();
-
   Word *const Base = L.base();
   Word *const YoungStart = L.youngStart();
   Word *const OldTop = L.oldTop();

@@ -29,13 +29,6 @@ void manti::minorGCImpl(VProcHeap &H) {
   LocalHeap &L = H.local();
   ScopedTimer Timer(H.Stats.MinorPause);
 
-  // The size-class cache holds dormant nursery runs; this collection is
-  // about to recycle the nursery, so drop them all. Keeping the flush
-  // here (not in the public wrappers) covers every path that collects:
-  // slow-path minors, stress collections, and both global flavors'
-  // per-vproc local collections.
-  H.sizeClassFlush();
-
   Word *const DestBase = L.oldTop();
   Word *Dest = DestBase;
   std::size_t NurseryUsed = L.nurseryUsedBytes();

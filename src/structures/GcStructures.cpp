@@ -99,7 +99,7 @@ bool searchFrom(VProcHeap &H, GcReclaimer &R, Value Start, int64_t Key,
       // deletion barrier so an in-flight snapshot cycle still traces
       // it (marking C covers the marker through C's Next).
       H.satbRecord(C);
-      R.retire(H.id(), nullptr, NodePairBytes, nullptr);
+      R.retire(H.id(), NodePairBytes);
       Curr = After;
       continue;
     }
@@ -207,7 +207,7 @@ bool GcList::erase(VProcHeap &H, int64_t Key) {
     // Best-effort physical unlink; losers leave it to the next search.
     if (casNext(Pred.value(), Curr.value(), Succ.value())) {
       H.satbRecord(Curr.value());
-      R.retire(H.id(), nullptr, NodePairBytes, nullptr);
+      R.retire(H.id(), NodePairBytes);
     }
     return true;
   }
@@ -276,7 +276,7 @@ restart:
         if (!casField(Q, rightOff(), Right, loadField(Right, rightOff())))
           goto restart;
         H.satbRecord(Right);
-        R.retire(H.id(), nullptr, IndexNodeBytes, nullptr);
+        R.retire(H.id(), IndexNodeBytes);
         continue;
       }
       if (keyOf(Target) < Key) {
@@ -305,7 +305,7 @@ restart:
         if (!casField(Q, rightOff(), Right, loadField(Right, rightOff())))
           goto restart;
         H.satbRecord(Right);
-        R.retire(H.id(), nullptr, IndexNodeBytes, nullptr);
+        R.retire(H.id(), IndexNodeBytes);
         continue;
       }
       if (keyOf(Target) < Key) {
@@ -414,7 +414,7 @@ bool GcSkipList::erase(VProcHeap &H, int64_t Key) {
       continue;
     if (casNext(Pred.value(), Curr.value(), Succ.value())) {
       H.satbRecord(Curr.value());
-      R.retire(H.id(), nullptr, NodePairBytes, nullptr);
+      R.retire(H.id(), NodePairBytes);
     }
     // Sweep the dead tower's index cells out of the way now rather
     // than leaving them all to later traversals.

@@ -1,4 +1,4 @@
-//===- structures/Reclaimer.cpp - GC and epoch reclamation backends -------===//
+//===- structures/Reclaimer.cpp - retired-node ledger ---------------------===//
 //
 // Part of the manticore-gc project.
 //
@@ -10,17 +10,10 @@
 
 namespace manti::structures {
 
-//===----------------------------------------------------------------------===//
-// GcReclaimer
-//===----------------------------------------------------------------------===//
-
 GcReclaimer::GcReclaimer(unsigned NumThreads)
     : NumThreads(NumThreads), Slots(new Slot[NumThreads]) {}
 
-void GcReclaimer::retire(unsigned Tid, void *Node, std::size_t Bytes,
-                         void (*Free)(void *)) {
-  MANTI_CHECK(Node == nullptr && Free == nullptr,
-              "GC-managed nodes are never freed manually");
+void GcReclaimer::retire(unsigned Tid, std::size_t Bytes) {
   MANTI_CHECK(Tid < NumThreads, "retire from unknown thread");
   Slot &S = Slots[Tid];
   S.RetiredObjects.fetch_add(1, std::memory_order_relaxed);
@@ -33,107 +26,6 @@ ReclaimerStats GcReclaimer::stats() const {
     Out.RetiredObjects += Slots[I].RetiredObjects.load(std::memory_order_relaxed);
     Out.RetiredBytes += Slots[I].RetiredBytes.load(std::memory_order_relaxed);
   }
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// EpochReclaimer
-//===----------------------------------------------------------------------===//
-
-EpochReclaimer::EpochReclaimer(unsigned NumThreads)
-    : NumThreads(NumThreads), Slots(new Slot[NumThreads]) {}
-
-EpochReclaimer::~EpochReclaimer() { drain(); }
-
-void EpochReclaimer::opBegin(unsigned Tid) {
-  MANTI_CHECK(Tid < NumThreads, "opBegin from unknown thread");
-  uint64_t E = GlobalEpoch.load(std::memory_order_relaxed);
-  // seq_cst: the pin must be globally visible before this thread reads
-  // any structure pointers, so an advance scan cannot miss an active
-  // thread and free a node it is about to dereference.
-  Slots[Tid].State.store((E << 1) | 1, std::memory_order_seq_cst);
-}
-
-void EpochReclaimer::opEnd(unsigned Tid) {
-  Slot &S = Slots[Tid];
-  uint64_t St = S.State.load(std::memory_order_relaxed);
-  S.State.store(St & ~uint64_t(1), std::memory_order_release);
-  if (++S.OpsSinceScan >= ScanInterval) {
-    S.OpsSinceScan = 0;
-    tryAdvance();
-    // Expiry check even on read-only workloads: other threads' retires
-    // advance the epoch, and our old buckets must not wait for our next
-    // retire to be freed.
-    collectExpired(S, GlobalEpoch.load(std::memory_order_acquire));
-  }
-}
-
-void EpochReclaimer::retire(unsigned Tid, void *Node, std::size_t Bytes,
-                            void (*Free)(void *)) {
-  MANTI_CHECK(Node != nullptr && Free != nullptr,
-              "epoch reclamation needs the node and its deleter");
-  Slot &S = Slots[Tid];
-  uint64_t G = GlobalEpoch.load(std::memory_order_acquire);
-  Bucket &B = S.Buckets[G % 3];
-  if (B.Epoch != G) {
-    // The bucket last served epoch <= G - 3: every thread has repinned
-    // since, so its contents are unreachable from any live traversal.
-    freeBucket(S, B);
-    B.Epoch = G;
-  }
-  B.Items.push_back({Node, Bytes, Free});
-  S.RetiredObjects.fetch_add(1, std::memory_order_relaxed);
-  S.RetiredBytes.fetch_add(Bytes, std::memory_order_relaxed);
-}
-
-void EpochReclaimer::freeBucket(Slot &S, Bucket &B) {
-  if (B.Items.empty())
-    return;
-  uint64_t Objects = 0, Bytes = 0;
-  for (const Retired &R : B.Items) {
-    ++Objects;
-    Bytes += R.Bytes;
-    R.Free(R.Node);
-  }
-  B.Items.clear();
-  S.ReclaimedObjects.fetch_add(Objects, std::memory_order_relaxed);
-  S.ReclaimedBytes.fetch_add(Bytes, std::memory_order_relaxed);
-}
-
-void EpochReclaimer::collectExpired(Slot &S, uint64_t Global) {
-  for (Bucket &B : S.Buckets)
-    if (!B.Items.empty() && Global >= B.Epoch + 3)
-      freeBucket(S, B);
-}
-
-void EpochReclaimer::tryAdvance() {
-  uint64_t G = GlobalEpoch.load(std::memory_order_acquire);
-  for (unsigned I = 0; I < NumThreads; ++I) {
-    uint64_t St = Slots[I].State.load(std::memory_order_acquire);
-    if ((St & 1) && (St >> 1) != G)
-      return; // an active thread has not observed epoch G yet
-  }
-  if (GlobalEpoch.compare_exchange_strong(G, G + 1,
-                                          std::memory_order_acq_rel))
-    Advances.fetch_add(1, std::memory_order_relaxed);
-}
-
-void EpochReclaimer::drain() {
-  for (unsigned I = 0; I < NumThreads; ++I)
-    for (Bucket &B : Slots[I].Buckets)
-      freeBucket(Slots[I], B);
-}
-
-ReclaimerStats EpochReclaimer::stats() const {
-  ReclaimerStats Out;
-  for (unsigned I = 0; I < NumThreads; ++I) {
-    const Slot &S = Slots[I];
-    Out.RetiredObjects += S.RetiredObjects.load(std::memory_order_relaxed);
-    Out.RetiredBytes += S.RetiredBytes.load(std::memory_order_relaxed);
-    Out.ReclaimedObjects += S.ReclaimedObjects.load(std::memory_order_relaxed);
-    Out.ReclaimedBytes += S.ReclaimedBytes.load(std::memory_order_relaxed);
-  }
-  Out.EpochAdvances = Advances.load(std::memory_order_relaxed);
   return Out;
 }
 

@@ -1,29 +1,18 @@
-//===- structures/Reclaimer.h - node reclamation for lock-free structures -===//
+//===- structures/Reclaimer.h - retired-node ledger for lock-free sets ----===//
 //
 // Part of the manticore-gc project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reclamation seam of the lock-free structure ablation. A lock-free
-/// set unlinks nodes while other threads may still be traversing them;
-/// *something* must keep the memory alive until every such traversal is
-/// done. The two implementations here are the two sides of the paper's
-/// argument:
-///
-///  * GcReclaimer -- the runtime collector is the reclaimer. Unlinked
-///    nodes are ordinary unreachable heap objects; "retire" is pure
-///    accounting so the bench can compare retired bytes against what the
-///    collector actually swept.
-///
-///  * EpochReclaimer -- the manual baseline (synchrobench's per-thread
-///    deferred-free lists, hardened into classic epoch-based
-///    reclamation). Threads pin the global epoch for the duration of
-///    each structure operation; a retired node is freed only after the
-///    epoch has advanced far enough that no pinned thread can still hold
-///    a pointer to it.
-///
-/// Both count through the same ReclaimerStats so ablation rows line up.
+/// A lock-free set unlinks nodes while other threads may still be
+/// traversing them; *something* must keep the memory alive until every
+/// such traversal is done. Here the runtime collector is that something:
+/// an unlinked node is an ordinary unreachable heap object, freed by the
+/// next global collection that finds no path to it. GcReclaimer
+/// therefore frees nothing. It keeps the retired-bytes ledger that the
+/// structures bench compares against what the collector actually
+/// reclaimed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,59 +23,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace manti::structures {
 
-/// Counters every reclaimer keeps, summed over threads. For the GC
-/// variant ReclaimedBytes stays zero (the collector's own sweep stats
-/// are the other side of that ledger); for the epoch variant retired
-/// and reclaimed converge once grace periods expire.
+/// Retired-node counters, summed over threads.
 struct ReclaimerStats {
   uint64_t RetiredObjects = 0;
   uint64_t RetiredBytes = 0;
-  uint64_t ReclaimedObjects = 0;
-  uint64_t ReclaimedBytes = 0;
-  uint64_t EpochAdvances = 0;
 };
 
-/// Abstract reclamation interface the structures are written against.
-/// Thread identity is the vproc id; callers bracket every structure
-/// operation with opBegin/opEnd and hand over each physically unlinked
-/// node through retire exactly once.
-class Reclaimer {
-public:
-  virtual ~Reclaimer() = default;
-
-  virtual const char *name() const = 0;
-
-  /// Enter/leave one structure operation on thread \p Tid.
-  virtual void opBegin(unsigned Tid) = 0;
-  virtual void opEnd(unsigned Tid) = 0;
-
-  /// Hands over one unlinked node. \p Node / \p Free are null for the
-  /// GC variant (the collector finds the garbage itself); the epoch
-  /// variant defers Free(Node) until a grace period has passed.
-  virtual void retire(unsigned Tid, void *Node, std::size_t Bytes,
-                      void (*Free)(void *)) = 0;
-
-  virtual ReclaimerStats stats() const = 0;
-};
-
-/// GC-backed "reclaimer": unlinking a node from a structure already made
-/// it unreachable, so reclamation is the collector's problem. retire()
-/// only keeps the retired-bytes ledger the ablation compares against the
-/// collector's sweep counters.
-class GcReclaimer final : public Reclaimer {
+/// Ledger of nodes the GC-backed structures have unlinked. Thread
+/// identity is the vproc id; each physically unlinked node is reported
+/// through retire exactly once.
+class GcReclaimer {
 public:
   explicit GcReclaimer(unsigned NumThreads);
 
-  const char *name() const override { return "runtime-gc"; }
-  void opBegin(unsigned) override {}
-  void opEnd(unsigned) override {}
-  void retire(unsigned Tid, void *Node, std::size_t Bytes,
-              void (*Free)(void *)) override;
-  ReclaimerStats stats() const override;
+  /// Records one unlinked node of \p Bytes bytes on thread \p Tid.
+  void retire(unsigned Tid, std::size_t Bytes);
+
+  ReclaimerStats stats() const;
 
 private:
   struct alignas(64) Slot {
@@ -95,70 +51,6 @@ private:
   };
   unsigned NumThreads;
   std::unique_ptr<Slot[]> Slots;
-};
-
-/// Classic epoch-based reclamation. A global epoch counter advances only
-/// when every in-operation thread has been observed pinned at the
-/// current epoch; each thread batches retired nodes into per-epoch
-/// buckets and frees a bucket once the global epoch is at least three
-/// ahead of the bucket's (strictly more conservative than the textbook
-/// two-epoch grace period).
-class EpochReclaimer final : public Reclaimer {
-public:
-  explicit EpochReclaimer(unsigned NumThreads);
-  ~EpochReclaimer() override;
-
-  const char *name() const override { return "epoch"; }
-  void opBegin(unsigned Tid) override;
-  void opEnd(unsigned Tid) override;
-  void retire(unsigned Tid, void *Node, std::size_t Bytes,
-              void (*Free)(void *)) override;
-  ReclaimerStats stats() const override;
-
-  /// Frees every outstanding retired node regardless of epoch. Only
-  /// legal once no thread is inside an operation (quiescence is the
-  /// caller's problem); the destructor calls it.
-  void drain();
-
-private:
-  struct Retired {
-    void *Node;
-    std::size_t Bytes;
-    void (*Free)(void *);
-  };
-  /// One epoch's worth of one thread's retired nodes. Three buckets
-  /// cycle: reusing a bucket stamped with an older epoch (necessarily
-  /// <= current - 3) frees its contents first.
-  struct Bucket {
-    uint64_t Epoch = 0;
-    std::vector<Retired> Items;
-  };
-  struct alignas(64) Slot {
-    /// (epoch << 1) | active. A single word so opBegin is one seq_cst
-    /// store and the advance scan is one load per thread.
-    std::atomic<uint64_t> State{0};
-    Bucket Buckets[3];
-    unsigned OpsSinceScan = 0;
-    std::atomic<uint64_t> RetiredObjects{0};
-    std::atomic<uint64_t> RetiredBytes{0};
-    std::atomic<uint64_t> ReclaimedObjects{0};
-    std::atomic<uint64_t> ReclaimedBytes{0};
-  };
-
-  void freeBucket(Slot &S, Bucket &B);
-  void tryAdvance();
-  /// Frees any of \p S's buckets whose grace period has expired.
-  void collectExpired(Slot &S, uint64_t Global);
-
-  unsigned NumThreads;
-  std::unique_ptr<Slot[]> Slots;
-  std::atomic<uint64_t> GlobalEpoch{1};
-  std::atomic<uint64_t> Advances{0};
-
-  /// Ops between advance attempts: frequent enough that quick tests
-  /// observe reclamation, cheap enough (one load per thread) to vanish
-  /// in bench noise.
-  static constexpr unsigned ScanInterval = 64;
 };
 
 } // namespace manti::structures

@@ -182,74 +182,6 @@ TEST(MinorGC, AllocMixedRootedSurvivesMidAllocationCollection) {
   EXPECT_EQ(Len, N);
 }
 
-TEST(MinorGC, SizeClassCacheServesHitsAndStaysVerifiable) {
-  // Small-vector allocations are batch-carved into the size-class cache:
-  // after the first (miss + refill), subsequent same-size allocations
-  // must pop cached runs, and the heap must stay walkable with dormant
-  // runs parked in the nursery.
-  ScopedUnsetEnv NoStress("MANTI_STRESS_GC");
-  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
-  TestWorld TW;
-  VProcHeap &H = TW.heap();
-  RootScope Frame(H);
-  Value &A = Frame.slot(cons(H, Value::fromInt(1), Value::nil()));
-  EXPECT_GT(H.Stats.SizeClassMisses, 0u) << "first allocation is a refill";
-  EXPECT_GT(H.sizeClassCachedRuns(), 0u) << "the refill parks spare runs";
-  Value &B = Frame.slot(cons(H, Value::fromInt(2), A));
-  Value &C = Frame.slot(cons(H, Value::fromInt(3), B));
-  (void)C;
-  EXPECT_GE(H.Stats.SizeClassHits, 2u) << "same-size allocations must hit";
-  // verifyHeap aborts on any invariant violation: dormant runs must
-  // keep the heap walkable.
-  verifyHeap(H);
-  EXPECT_EQ(listSum(C), 1 + 2 + 3);
-}
-
-TEST(MinorGC, SizeClassCacheIsInvalidatedByEveryCollectionFlavor) {
-  // The cached runs live in the nursery; a run surviving any collection
-  // would be a dangling pointer into recycled space. Populate the cache,
-  // then check each collection flavor empties it and bumps the flush
-  // counter. A stress period longer than the test's allocations keeps
-  // the MANTI_STRESS_GC=1 CI lane from collecting (and flushing) between
-  // the populate step and the assertions while still running this test's
-  // own collections under the stress config.
-  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
-  GCConfig Cfg = smallConfig();
-  Cfg.StressGCPeriod = 1u << 20;
-  TestWorld TW(1, Cfg);
-  VProcHeap &H = TW.heap();
-  RootScope Frame(H);
-  Value &Live = Frame.slot(Value::nil());
-
-  auto Populate = [&] {
-    Live = cons(H, Value::fromInt(7), Value::nil());
-    ASSERT_GT(H.sizeClassCachedRuns(), 0u) << "refill must park spare runs";
-  };
-
-  Populate();
-  uint64_t Flushes = H.Stats.SizeClassFlushes;
-  H.minorGC();
-  EXPECT_EQ(H.sizeClassCachedRuns(), 0u) << "minor GC must flush the cache";
-  EXPECT_GT(H.Stats.SizeClassFlushes, Flushes);
-
-  Populate();
-  Flushes = H.Stats.SizeClassFlushes;
-  H.majorGC();
-  EXPECT_EQ(H.sizeClassCachedRuns(), 0u) << "major GC must flush the cache";
-  EXPECT_GT(H.Stats.SizeClassFlushes, Flushes);
-
-  Populate();
-  Flushes = H.Stats.SizeClassFlushes;
-  TW.World.requestGlobalGC();
-  H.safePoint();
-  EXPECT_EQ(H.sizeClassCachedRuns(), 0u)
-      << "global GC participation must flush the cache";
-  EXPECT_GT(H.Stats.SizeClassFlushes, Flushes);
-
-  EXPECT_EQ(vectorGet(Live, 0).asInt(), 7);
-  verifyHeap(H);
-}
-
 TEST(MinorGC, RawObjectsAreNotScanned) {
   TestWorld TW;
   VProcHeap &H = TW.heap();

@@ -216,10 +216,28 @@ TEST(Scheduler, OneHandshakeMovesHalfTheQueueUpToTheCap) {
 TEST(Scheduler, IdleVProcsParkAndAccountTheTime) {
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   RT.run(
-      [](Runtime &, VProc &, void *) {
-        // No work spawned: the three workers descend the full ladder
-        // (generous window so heavily loaded CI hosts still park).
-        std::this_thread::sleep_for(std::chrono::milliseconds(120));
+      [](Runtime &RT, VProc &, void *) {
+        // No work spawned: the three workers descend the full ladder.
+        // Each must first climb 32 yield rungs, and on a loaded host one
+        // yield can cost several milliseconds, so no fixed window is
+        // long enough. Wait instead until a worker sits on a doorbell at
+        // two polls in a row (a single sighting could be a park left
+        // over from before the run, which is not counted); the deadline
+        // only bounds a real failure.
+        ParkLot &Lot = RT.parkLot();
+        auto AnyParked = [&Lot] {
+          for (NodeId N = 0; N < Lot.numNodes(); ++N)
+            if (Lot.parkedOn(N) > 0)
+              return true;
+          return false;
+        };
+        const auto Deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        unsigned Sightings = 0;
+        while (Sightings < 2 && std::chrono::steady_clock::now() < Deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          Sightings = AnyParked() ? Sightings + 1 : 0;
+        }
       },
       nullptr);
   SchedStats S = RT.aggregateSchedStats();

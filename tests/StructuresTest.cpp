@@ -3,7 +3,7 @@
 // Part of the manticore-gc project.
 //
 // Correctness and linearizability smoke tests for the src/structures/
-// ordered sets, in both reclamation flavors. The multi-thread hammers
+// ordered sets (GcList and GcSkipList). The multi-thread hammers
 // are the collector's adversarial mutators: they run with concurrent
 // marking (started deterministically mid-hammer) and, in a separate
 // test, with tiny budgets so stop-the-world copying collections move
@@ -16,7 +16,6 @@
 
 #include "GCTestUtils.h"
 #include "gc/HeapVerifier.h"
-#include "structures/EpochStructures.h"
 #include "structures/GcStructures.h"
 
 #include <gtest/gtest.h>
@@ -68,7 +67,7 @@ void runWorkers(GCWorld &W, Body Fn) {
     T.join();
 }
 
-/// Single-threaded set semantics shared by all four variants.
+/// Single-threaded set semantics shared by both sets.
 template <typename Set> void checkBasics(Set &S, VProcHeap &H) {
   EXPECT_FALSE(S.contains(H, 7));
   EXPECT_TRUE(S.insert(H, 7));
@@ -200,20 +199,6 @@ TEST(Structures, GcSkipListBasics) {
   verifyHeap(TW.heap());
 }
 
-TEST(Structures, EpochListBasics) {
-  TestWorld TW;
-  EpochReclaimer R(1);
-  EpochList S(R);
-  checkBasics(S, TW.heap());
-}
-
-TEST(Structures, EpochSkipListBasics) {
-  TestWorld TW;
-  EpochReclaimer R(1);
-  EpochSkipList S(R);
-  checkBasics(S, TW.heap());
-}
-
 TEST(Structures, GcSkipListManyKeysOrdered) {
   TestWorld TW;
   GcReclaimer R(1);
@@ -221,21 +206,6 @@ TEST(Structures, GcSkipListManyKeysOrdered) {
   checkManyKeys(S, TW.heap(), 512);
   EXPECT_GT(R.stats().RetiredBytes, 0u);
   verifyWorld(TW.World);
-}
-
-TEST(Structures, EpochSkipListManyKeysOrdered) {
-  TestWorld TW;
-  EpochReclaimer R(1);
-  {
-    EpochSkipList S(R);
-    checkManyKeys(S, TW.heap(), 512);
-  }
-  R.drain();
-  ReclaimerStats St = R.stats();
-  EXPECT_EQ(St.RetiredObjects, St.ReclaimedObjects)
-      << "after drain every retired node must be reclaimed";
-  EXPECT_EQ(St.RetiredBytes, St.ReclaimedBytes);
-  EXPECT_GT(St.EpochAdvances, 0u) << "the global epoch never advanced";
 }
 
 //===----------------------------------------------------------------------===//
@@ -380,29 +350,4 @@ TEST(StructuresHammer, GcSkipListUnderStopTheWorldCopying) {
         << "the hammer should have run through repeated copying GCs";
   }
   verifyWorld(TW.World);
-}
-
-TEST(StructuresHammer, EpochList) {
-  TestWorld TW(4, smallConfig(), Topology::uniform(2, 2));
-  EpochReclaimer R(4);
-  {
-    EpochList S(R);
-    hammerSet(TW.World, S, HammerOptions{});
-  }
-  R.drain();
-  ReclaimerStats St = R.stats();
-  EXPECT_EQ(St.RetiredObjects, St.ReclaimedObjects);
-}
-
-TEST(StructuresHammer, EpochSkipList) {
-  TestWorld TW(4, smallConfig(), Topology::uniform(2, 2));
-  EpochReclaimer R(4);
-  {
-    EpochSkipList S(R);
-    hammerSet(TW.World, S, HammerOptions{});
-  }
-  R.drain();
-  ReclaimerStats St = R.stats();
-  EXPECT_EQ(St.RetiredObjects, St.ReclaimedObjects);
-  EXPECT_GT(St.EpochAdvances, 0u);
 }
