@@ -39,7 +39,7 @@ using namespace manti::benchutil;
 
 namespace {
 
-int OpsPerThread = 40000;
+constexpr int OpsPerThread = 80000;
 unsigned KeySpace = 2048;
 
 uint64_t splitmix64(uint64_t &State) {
@@ -195,13 +195,12 @@ int main(int argc, char **argv) {
   JsonReport Json("ablation_structures", Opts.JsonPath);
 
   const bool Quick = Opts.Quick;
-  // --quick runs fewer rows, not shorter ones: every row must run at
-  // least one global cycle. The concurrent trigger looks only after a
-  // vproc has promoted GCWorld::WatermarkStrideBytes (64 KB), and the
-  // 10%-update list rows promote about 2 bytes per op, so they first
-  // collect between 35000 and 50000 ops per thread; 80000 leaves
-  // margin.
-  OpsPerThread = Quick ? 80000 : 40000;
+  // --quick runs fewer rows, not shorter ones: every row, in either
+  // mode, must run at least one global cycle. The concurrent trigger
+  // looks only after a vproc has promoted GCWorld::WatermarkStrideBytes
+  // (64 KB), and the 10%-update list rows promote about 2 bytes per op,
+  // so they first collect between 35000 and 50000 ops per thread;
+  // OpsPerThread = 80000 leaves margin.
   KeySpace = Quick ? 512 : 2048;
   const std::vector<unsigned> ThreadCounts =
       Quick ? std::vector<unsigned>{4} : std::vector<unsigned>{2, 4, 8};

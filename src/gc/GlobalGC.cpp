@@ -36,6 +36,7 @@
 #include "support/Logging.h"
 #include "support/SpinLock.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -44,6 +45,16 @@
 #include <sys/resource.h>
 
 namespace manti {
+
+namespace {
+
+/// Fill for released from-space under GCConfig::StressGC. Even, so it
+/// reads as a pointer (or a forwarding header), and non-canonical, so
+/// dereferencing it faults: a stale read of a moved global object fails
+/// at once instead of returning the old copy's still-intact bytes.
+constexpr Word StressPoisonWord = 0xdeadbeefdeadbeeeULL;
+
+} // namespace
 
 /// Shared state for one (or more, serially) global collections. Owned by
 /// the GCWorld; reset by the leader at the start of each collection.
@@ -364,6 +375,8 @@ void GlobalCollection::participate(VProcHeap &H) {
       while (Chunk *C = Head) {
         Head = C->Next;
         Freed += C->sizeBytes();
+        if (W.Config.StressGC)
+          std::fill(C->Base, C->AllocPtr, StressPoisonWord);
         W.Chunks.releaseChunk(C);
       }
     }

@@ -31,6 +31,14 @@ bool stressGCFromEnv() {
   return Env && *Env && !(Env[0] == '0' && Env[1] == '\0');
 }
 
+/// StressGC schedules, counted in forced collections: every
+/// StressMajorEvery-th also collects the old area, and every
+/// StressGlobalEvery-th requests a global collection, so values held
+/// unrooted across an allocation go stale in every space, not only in
+/// the nursery.
+constexpr uint64_t StressMajorEvery = 8;
+constexpr uint64_t StressGlobalEvery = 64;
+
 GCConfig applyEnvOverrides(GCConfig Config) {
   if (stressGCFromEnv())
     Config.StressGC = true;
@@ -295,9 +303,18 @@ void VProcHeap::stressGCBeforeAlloc() {
       (++StressTick % World.Config.StressGCPeriod) != 0)
     return;
   debugCheckShadowStack();
+  uint64_t N = ++StressCollections;
+  // A global collection needs every vproc at a safe point. That holds
+  // for a lone vproc and for a runtime's vprocs (each runs on a thread
+  // that polls, and the wakeup hook rings parked ones), not for a test
+  // world that drives several heaps from one thread.
+  if (N % StressGlobalEvery == 0 &&
+      (World.numVProcs() == 1 || World.WakeupHook))
+    World.requestGlobalGC();
   safePoint();
   minorGCImpl(*this);
-  if (Local.nurseryCapacityBytes() < World.Config.MinNurseryBytes)
+  if (N % StressMajorEvery == 0 ||
+      Local.nurseryCapacityBytes() < World.Config.MinNurseryBytes)
     majorGCImpl(*this, EvacuateMode::OldOnly);
 }
 

@@ -137,12 +137,15 @@ struct GCConfig {
   bool PreserveChunkAffinity = true;
   /// Stress mode: force a minor collection on every allocation that is
   /// eligible for the GC slow path, and validate every registered root slot
-  /// (nil / int / live heap pointer) first. Turns "a collection *may*
-  /// happen here" into "a collection *does* happen here", so unrooted
-  /// Values fail deterministically instead of intermittently. Also
-  /// enabled by setting the MANTI_STRESS_GC environment variable (any
-  /// value but "0"), so existing test binaries can be stressed in CI
-  /// without recompilation.
+  /// (nil / int / live heap pointer) first. On fixed sparser schedules a
+  /// forced collection is also a major one (the old area moves) or,
+  /// where every vproc polls, a global one (global objects move, and the
+  /// released from-space is poisoned so a stale read fails at once).
+  /// Turns "a collection *may* happen here" into "a collection *does*
+  /// happen here", so unrooted Values fail deterministically instead of
+  /// intermittently. Also enabled by setting the MANTI_STRESS_GC
+  /// environment variable (any value but "0"), so existing test binaries
+  /// can be stressed in CI without recompilation.
   bool StressGC = false;
   /// Stress schedule: collect on every Nth slow-path-eligible allocation
   /// instead of every one (1 = every allocation, the strictest setting).
@@ -435,6 +438,8 @@ private:
   /// Root slots registered for a structure's lifetime (addLifetimeRoot).
   std::vector<Value *> LifetimeRoots;
   uint64_t StressTick = 0; ///< StressGCPeriod schedule position
+  /// Forced collections so far (the major and global stress schedules).
+  uint64_t StressCollections = 0;
   /// Bytes accumulated toward the next watermark summation (owner-only;
   /// the summation itself is the expensive part the stride amortizes).
   uint64_t WatermarkResidue = 0;

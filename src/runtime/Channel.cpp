@@ -108,9 +108,13 @@ Value Channel::recv(VProc &VP, Value ContData, Value *ContOut) {
 
   // Block: park a proxy-wrapped continuation record. The record lives in
   // this vproc's local heap; the proxy is the sanctioned global-to-local
-  // reference that keeps it alive and tracked while we are parked.
+  // reference that keeps it alive and tracked while we are parked. With
+  // no continuation there is nothing to protect, so the waiter carries a
+  // nil proxy: no global allocation, no ProxyTable entry, no resolve.
   RootScope Scope(VP.heap());
-  Value &Proxy = Scope.slot(createProxy(VP.heap(), ContData));
+  bool HasCont = !ContData.isNil();
+  Value &Proxy =
+      Scope.slot(HasCont ? createProxy(VP.heap(), ContData) : Value::nil());
 
   Waiter W;
   W.ProxyBits = Proxy.bits();
@@ -161,7 +165,7 @@ Value Channel::recv(VProc &VP, Value ContData, Value *ContOut) {
 
   // Wake-up: collections may have moved both the proxy and the record.
   // Resolve through the rooted proxy slot to recover the continuation.
-  Value Cont = resolveProxy(VP.heap(), Proxy);
+  Value Cont = HasCont ? resolveProxy(VP.heap(), Proxy) : Value::nil();
   if (ContOut)
     *ContOut = Cont;
   return Msg;

@@ -20,15 +20,21 @@
 /// concurrency constructs"). The proxy keeps the local record alive and
 /// trackable across the receiver's local collections and across global
 /// collections while the receiver is blocked; on wake-up the receiver
-/// resolves the proxy and resumes with its continuation data.
+/// resolves the proxy and resumes with its continuation data. A receive
+/// with no continuation data (every plain recv(VP)) registers its waiter
+/// with a nil proxy instead: no global allocation and no ProxyTable
+/// entry, and the message itself is rooted by the waiter queue as on
+/// the proxy path.
 ///
-/// Blocking goes through the scheduler's ParkLot: a blocked receiver
-/// registers a Waiter carrying its home node and parks on its node's
-/// doorbell; send() claims the waiter (a CAS -- selectRecv registers one
-/// waiter on several channels, whose senders hold different locks),
-/// fills it, marks it Ready, and *rings the receiver's node*. Blocked
-/// senders symmetrically park until a consumer sets their item's Taken
-/// completion flag and rings the sender's node. The two-flag handoff
+/// Blocking goes through the scheduler: a blocked receiver registers a
+/// Waiter carrying its home node, spins on it in user space for about a
+/// park-and-wake round trip (Scheduler::blockOn), then parks on its
+/// node's doorbell; send() claims the waiter (a CAS -- selectRecv
+/// registers one waiter on several channels, whose senders hold
+/// different locks), fills it, marks it Ready, and *rings the receiver's
+/// node*. Blocked senders symmetrically spin, then park, until a
+/// consumer sets their item's Taken completion flag and rings the
+/// sender's node. The two-flag handoff
 /// (Claimed to pick a unique filler, Ready/Taken to publish completion)
 /// is also what keeps tryRecv non-blocking: a consumer claims a queued
 /// item by unlinking it under the lock, so a concurrent tryRecv sees
@@ -144,7 +150,7 @@ private:
   /// between hand-off and wake-up.
   struct Waiter {
     Word CellBits = 0;
-    Word ProxyBits = 0;
+    Word ProxyBits = 0;           ///< nil when there is no continuation
     NodeId Node = 0;              ///< receiver's node: rung on hand-off
     Channel *FilledBy = nullptr;  ///< written by the claimant before Ready
     std::atomic<bool> Claimed{false};

@@ -166,8 +166,9 @@ public:
   /// local vprocs are saturated). Called by VProc::spawn.
   void noteSpawn(VProc &VP, const Task &T);
 
-  /// Blocks \p VP until \p Pred(Ctx) holds: a short poll+yield spin,
-  /// then doorbell parks on \p VP's node with the bounded backstop.
+  /// Blocks \p VP until \p Pred(Ctx) holds: a ~30 us poll+pause spin in
+  /// user space, then a short poll+yield spin, then doorbell parks on
+  /// \p VP's node with the bounded backstop.
   /// Keeps answering steal requests and joining pending collections
   /// between parks, so channel blocking can never deadlock a collection.
   /// \p Pred must be safe to evaluate concurrently with its producer

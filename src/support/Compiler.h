@@ -38,6 +38,20 @@ namespace manti {
 /// Size, in bytes, assumed for one cache line when padding shared state.
 inline constexpr std::size_t CacheLineSize = 64;
 
+/// One spin-wait hint: tells the core this is a busy-wait loop so it can
+/// yield pipeline resources to a sibling hyperthread and skip the memory-
+/// order mis-speculation flush when the awaited line changes. `pause` on
+/// x86, `yield` on AArch64, nothing elsewhere. Its latency varies several-
+/// fold between x86 generations, so bound spins by time, not by count.
+MANTI_ALWAYS_INLINE void cpuRelax() {
+#if (defined(__GNUC__) || defined(__clang__)) &&                              \
+    (defined(__x86_64__) || defined(__i386__))
+  __builtin_ia32_pause();
+#elif (defined(__GNUC__) || defined(__clang__)) && defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
+
 } // namespace manti
 
 #endif // MANTI_SUPPORT_COMPILER_H

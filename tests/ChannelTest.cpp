@@ -480,3 +480,144 @@ TEST(Channel, ManyMessagesManyCollections) {
   EXPECT_EQ(Ctx.Received.load(), 60 * intListSum(25));
   verifyWorld(RT.world());
 }
+
+TEST(Channel, SpinningReceiverJoinsGlobalGC) {
+  // A receiver blocked in recv spins in user space before it parks, and
+  // that spin must keep polling: a global collection requested by
+  // another vproc while the receiver waits has to complete promptly,
+  // and the message sent afterwards must arrive intact.
+  Runtime RT(chanConfig(2), Topology::uniform(2, 1));
+  Channel Chan(RT);
+  static Channel *ChanPtr;
+  ChanPtr = &Chan;
+  static uint64_t GCsBefore, GCsAfter;
+  static int64_t Got;
+  GCsBefore = GCsAfter = 0;
+  Got = 0;
+
+  RT.run(
+      [](Runtime &, VProc &VP, void *) {
+        VP.spawn({[](Runtime &RT2, VProc &VP, Task) {
+                    RootScope S(VP.heap());
+                    Ref<> Msg = S.root(makeIntList(VP.heap(), 17));
+                    // Request the collection the moment the receiver is
+                    // registered, i.e. while it is normally still in its
+                    // spin stage, and join it ourselves.
+                    while (ChanPtr->pendingRecvs() == 0)
+                      VP.poll();
+                    GCsBefore = RT2.world().globalGCCount();
+                    RT2.world().requestGlobalGC();
+                    VP.heap().safePoint();
+                    GCsAfter = RT2.world().globalGCCount();
+                    ChanPtr->send(VP, Msg);
+                  },
+                  nullptr, Value::nil(), 0, 0});
+        RootScope S(VP.heap());
+        Ref<> Msg = ChanPtr->recv(S, VP);
+        Got = listSum(Msg);
+      },
+      nullptr);
+
+  EXPECT_GT(GCsAfter, GCsBefore) << "the requested collection must finish";
+  EXPECT_EQ(Got, intListSum(17));
+  // The receiver reaches the collection from its spin (or, on a loaded
+  // host, its yield or park stage: the request rings the broadcast
+  // doorbell), never by running out a park backstop chain. 50 ms leaves
+  // room for sanitizer slowdown and descheduling on a shared host.
+  const VProcHeap &Receiver = RT.vproc(0).heap();
+  EXPECT_GE(Receiver.Stats.GlobalSafepointWait.count(), 1u);
+  EXPECT_LT(Receiver.Stats.GlobalSafepointWait.maxNanos(), 50'000'000u);
+}
+
+TEST(Channel, PlainBlockingRecvAllocatesNoProxy) {
+  // A recv with no continuation data has nothing for a proxy to
+  // protect: blocking on it must allocate nothing in the global heap and
+  // register nothing in the vproc's ProxyTable, even while parked.
+  Runtime RT(chanConfig(2), Topology::uniform(2, 1));
+  Channel Chan(RT);
+  static Channel *ChanPtr;
+  ChanPtr = &Chan;
+  static std::size_t ProxiesBefore, ProxiesWhileBlocked, ProxiesAfter;
+  static uint64_t GlobalBytesBefore, GlobalBytesAfter;
+  static int64_t Got;
+  Got = 0;
+
+  RT.run(
+      [](Runtime &, VProc &VP, void *) {
+        VP.spawn({[](Runtime &RT2, VProc &VP, Task) {
+                    while (ChanPtr->pendingRecvs() == 0)
+                      VP.poll();
+                    // pendingRecvs() took the channel lock after the
+                    // receiver registered, and nothing collects while it
+                    // waits (neither side allocates), so its table is
+                    // stable to read here.
+                    ProxiesWhileBlocked =
+                        RT2.vproc(0).heap().ProxyTable.size();
+                    ChanPtr->send(VP, Value::fromInt(42));
+                  },
+                  nullptr, Value::nil(), 0, 0});
+        VProcHeap &H = VP.heap();
+        ProxiesBefore = H.ProxyTable.size();
+        GlobalBytesBefore = H.Stats.BytesAllocatedGlobal;
+        Got = ChanPtr->recv(VP).asInt();
+        GlobalBytesAfter = H.Stats.BytesAllocatedGlobal;
+        ProxiesAfter = H.ProxyTable.size();
+      },
+      nullptr);
+
+  EXPECT_EQ(Got, 42);
+  EXPECT_EQ(GlobalBytesAfter, GlobalBytesBefore);
+  EXPECT_EQ(ProxiesWhileBlocked, ProxiesBefore);
+  EXPECT_EQ(ProxiesAfter, ProxiesBefore);
+}
+
+TEST(Channel, HandoffToProxyFreeReceiverSurvivesGlobalGC) {
+  // The proxy-free receive keeps its message alive through the waiter
+  // queue alone. Force a global collection into the window between the
+  // hand-off and the receiver's wake-up: the sender requests it, waits
+  // for the blocked receiver to join, hands off a global list it no
+  // longer roots, then joins too. The collection moves the list while
+  // only the channel's root enumeration knows about it.
+  Runtime RT(chanConfig(2), Topology::uniform(2, 1));
+  Channel Chan(RT);
+  static Channel *ChanPtr;
+  ChanPtr = &Chan;
+  static uint64_t GCsBefore, GCsAtWake;
+  static int64_t Got;
+  GCsBefore = GCsAtWake = 0;
+  Got = 0;
+
+  RT.run(
+      [](Runtime &, VProc &VP, void *) {
+        VP.spawn({[](Runtime &RT2, VProc &VP, Task) {
+                    {
+                      RootScope S(VP.heap());
+                      Ref<> Msg = S.root(makeIntList(VP.heap(), 23));
+                      // Promote now, so send() itself allocates nothing
+                      // once the collection is pending.
+                      Msg = promote(S, Msg);
+                      while (ChanPtr->pendingRecvs() == 0)
+                        VP.poll();
+                      GCsBefore = RT2.world().globalGCCount();
+                      RT2.world().requestGlobalGC();
+                      // The receiver polls in its spin, or is rung out
+                      // of its park, and waits in the collection.
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(50));
+                      ChanPtr->send(VP, Msg);
+                    }
+                    VP.heap().safePoint();
+                  },
+                  nullptr, Value::nil(), 0, 0});
+        RootScope S(VP.heap());
+        Ref<> Msg = ChanPtr->recv(S, VP);
+        GCsAtWake = VP.runtime().world().globalGCCount();
+        Got = listSum(Msg);
+      },
+      nullptr);
+
+  EXPECT_GT(GCsAtWake, GCsBefore)
+      << "the collection must land between hand-off and wake-up";
+  EXPECT_EQ(Got, intListSum(23));
+  verifyWorld(RT.world());
+}

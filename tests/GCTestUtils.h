@@ -67,6 +67,16 @@ private:
   bool HadValue = false;
 };
 
+/// \p Cfg with a StressGC period no test reaches, for tests whose premise
+/// is phase-exact -- which collections ran, where data lives -- and that
+/// the stress lane's forced minor, major and global collections would
+/// break. Construct the world under a ScopedUnsetEnv for
+/// MANTI_STRESS_GC_PERIOD, or that override clobbers the pinned period.
+inline GCConfig phaseExactConfig(GCConfig Cfg = smallConfig()) {
+  Cfg.StressGCPeriod = 1u << 20;
+  return Cfg;
+}
+
 /// A world over a 2-node, 4-core uniform machine unless overridden.
 struct TestWorld {
   explicit TestWorld(unsigned NumVProcs = 1, GCConfig Cfg = smallConfig(),

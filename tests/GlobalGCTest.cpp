@@ -19,7 +19,10 @@ using namespace manti;
 using namespace manti::test;
 
 TEST(GlobalGC, SingleVProcCollectsGarbage) {
-  TestWorld TW;
+  // Counts collections and compares active bytes across one of them:
+  // stress-forced global collections would run before and around it.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &Keep = Frame.slot(makeIntList(H, 50));
@@ -82,7 +85,10 @@ TEST(GlobalGC, YoungDataSurvivesInLocalHeap) {
 }
 
 TEST(GlobalGC, CompactsLiveDataIntoFewerChunks) {
-  GCConfig Cfg = smallConfig();
+  // Needs the live data spread thinly before the collection: a stress-
+  // forced global collection during setup would compact it early.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  GCConfig Cfg = phaseExactConfig();
   TestWorld TW(1, Cfg);
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
@@ -338,7 +344,10 @@ TEST(ConcurrentGlobalGC, PhaseMachineSteps) {
 }
 
 TEST(ConcurrentGlobalGC, SingleVProcCollectsGarbage) {
-  TestWorld TW;
+  // Compares active bytes across one cycle: stress-forced stop-the-world
+  // collections would reclaim the junk first.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &Keep = Frame.slot(makeIntList(H, 50));
@@ -487,7 +496,10 @@ TEST(ConcurrentGlobalGC, StwRequestDoesNotPreemptRunningCycle) {
 }
 
 TEST(ConcurrentGlobalGC, WatermarkTriggersAutomatically) {
-  GCConfig Cfg = smallConfig();
+  // The watermark must start the cycle: stress-forced stop-the-world
+  // collections would reset the allocation volume it counts.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  GCConfig Cfg = phaseExactConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   Cfg.ConcurrentGlobal = true;
   TestWorld TW(1, Cfg);
@@ -513,8 +525,10 @@ TEST(ConcurrentGlobalGC, WatermarkTriggersOnMajorPromotion) {
   // Global data that arrives only through major collections -- no
   // promote() call, no direct global allocation -- must still start a
   // concurrent cycle at the watermark, not fall through to the
-  // stop-the-world backstop at the hard threshold.
-  GCConfig Cfg = smallConfig();
+  // stop-the-world backstop at the hard threshold. Stress-forced stop-
+  // the-world collections would reset the volume the watermark counts.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  GCConfig Cfg = phaseExactConfig();
   Cfg.GlobalGCBytesPerVProc = 256 * 1024; // tiny budget: 4 chunks
   Cfg.ConcurrentGlobal = true;
   TestWorld TW(1, Cfg);

@@ -24,7 +24,10 @@ TEST(HeapVerifier, EmptyWorldPasses) {
 }
 
 TEST(HeapVerifier, CountsMatchStructure) {
-  TestWorld TW;
+  // Counts by space: a stress-forced major collection would move the
+  // local list into the global heap.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &L = Frame.slot(makeIntList(H, 10)); // 10 cons cells
@@ -40,7 +43,10 @@ TEST(HeapVerifier, CountsMatchStructure) {
 }
 
 TEST(HeapVerifier, SharedStructureCountedOnce) {
-  TestWorld TW;
+  // Counts local objects: a stress-forced major collection would move
+  // them into the global heap.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &Shared = Frame.slot(makeIntList(H, 8));

@@ -24,9 +24,7 @@ TEST(MajorGC, YoungDataStaysLocal) {
   // The MANTI_STRESS_GC_PERIOD env override would clobber the pinned
   // period, so shelve it around the world's construction.
   ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
-  GCConfig Cfg = smallConfig();
-  Cfg.StressGCPeriod = 1u << 20;
-  TestWorld TW(1, Cfg);
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &List = Frame.slot(makeIntList(H, 30));

@@ -46,9 +46,7 @@ TEST(MinorGC, GarbageIsReclaimed) {
   // MANTI_STRESS_GC_PERIOD env override would clobber the pinned
   // period, so shelve it around the world's construction.
   ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
-  GCConfig Cfg = smallConfig();
-  Cfg.StressGCPeriod = 1u << 20;
-  TestWorld TW(1, Cfg);
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &Live = Frame.slot(makeIntList(H, 10));
@@ -129,7 +127,10 @@ TEST(MinorGC, AutomaticallyTriggeredBySlowPath) {
 }
 
 TEST(MinorGC, InvariantsHoldAfterCollections) {
-  TestWorld TW;
+  // Counts local objects: a stress-forced major collection would move
+  // the list into the global heap.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  TestWorld TW(1, phaseExactConfig());
   VProcHeap &H = TW.heap();
   RootScope Frame(H);
   Value &List = Frame.slot(makeIntList(H, 64));

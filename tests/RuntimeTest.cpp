@@ -355,7 +355,11 @@ TEST(WorkStealing, ConcurrentMarkDuringParallelWork) {
   // overwriting roots. Runs under TSan via the sched label: the marker
   // reads only below the stamped MarkLimit, so tracing and bump
   // allocation must never touch the same words.
+  // Stress-forced stop-the-world collections would reset the promotion
+  // volume the loop below counts, so it would never end.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
   RuntimeConfig Cfg = testRuntimeConfig(4);
+  Cfg.GC = phaseExactConfig(Cfg.GC);
   Cfg.GC.GlobalGCBytesPerVProc = 64 * 1024;
   Cfg.GC.ConcurrentGlobal = true;
   Runtime RT(Cfg, Topology::uniform(2, 2));

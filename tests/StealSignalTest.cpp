@@ -107,7 +107,12 @@ TEST(StealSignal, TaskLeavesWhileVictimAllocatesWithoutPolling) {
 }
 
 TEST(StealSignal, VictimReadsStolenEnvironmentThroughItsHusk) {
-  Runtime RT(victimAndThief(), Topology::uniform(1, 2));
+  // The reads must go through the husk: a stress-forced major collection
+  // would repair the handle first.
+  ScopedUnsetEnv NoPeriod("MANTI_STRESS_GC_PERIOD");
+  RuntimeConfig Cfg = victimAndThief();
+  Cfg.GC = phaseExactConfig(Cfg.GC);
+  Runtime RT(Cfg, Topology::uniform(1, 2));
   Probe P;
   RT.run(
       [](Runtime &, VProc &VP, void *Ctx) {
