@@ -55,10 +55,10 @@
 
 #include "support/Logging.h"
 #include "support/SpinLock.h"
+#include "support/Wait.h"
 
 #include <atomic>
 #include <mutex>
-#include <thread>
 
 namespace manti {
 
@@ -309,18 +309,16 @@ void ConcurrentMark::initRendezvous(VProcHeap &H) {
 }
 
 void ConcurrentMark::drainUntilEmpty(VProcHeap &H) {
-  for (;;) {
-    if (markStep(H, MutatorAssistBudget))
-      continue;
-    bool Empty;
-    {
-      std::lock_guard<SpinLock> Guard(GrayLock);
-      Empty = Gray.empty();
-    }
-    if (Empty && InFlight.load(std::memory_order_acquire) == 0)
-      return;
-    std::this_thread::yield();
-  }
+  // Nobody rings for the last in-flight batch, so the park is a sleep.
+  spinThenPark(
+      spinBudget(W.numVProcs()),
+      [&] {
+        while (markStep(H, MutatorAssistBudget)) {
+        }
+        std::lock_guard<SpinLock> Guard(GrayLock);
+        return Gray.empty() && InFlight.load(std::memory_order_acquire) == 0;
+      },
+      sleepMicros);
 }
 
 void ConcurrentMark::terminalRendezvous(VProcHeap &H) {

@@ -35,12 +35,12 @@
 
 #include "support/Logging.h"
 #include "support/SpinLock.h"
+#include "support/Wait.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include <sys/resource.h>
 
@@ -73,6 +73,7 @@ public:
   void pushPending(Chunk *C) {
     PendingByNode[C->HomeNode].push(C);
     PendingCount.fetch_add(1, std::memory_order_release);
+    ScanBell.ring(); // one chunk of work wants one idle scanner
   }
 
   /// Pops a pending chunk, preferring \p PreferNode ("the vprocs obtain
@@ -93,6 +94,9 @@ public:
   std::vector<ChunkStack> PendingByNode;
   std::atomic<int> PendingCount{0};
   std::atomic<unsigned> IdleCount{0};
+  /// Idle scanners park here; rung by pushPending and, for all of them,
+  /// by the scanner whose going idle ends the scan.
+  Doorbell ScanBell;
 };
 
 GlobalCollection *createGlobalCollection(GCWorld &W) {
@@ -227,20 +231,31 @@ public:
   /// Phase 4: cooperative parallel scan until no vproc has work.
   void scanLoop() {
     unsigned NumVProcs = H.world().numVProcs();
+    auto HaveWork = [&] {
+      return GC.PendingCount.load(std::memory_order_acquire) > 0 ||
+             haveLocalWork();
+    };
+    auto AllIdle = [&] {
+      return GC.IdleCount.load(std::memory_order_acquire) == NumVProcs;
+    };
+    auto WorkOrEnd = [&] { return HaveWork() || AllIdle(); };
     for (;;) {
       if (scanSome())
         continue;
-      GC.IdleCount.fetch_add(1, std::memory_order_acq_rel);
-      for (;;) {
-        if (GC.PendingCount.load(std::memory_order_acquire) > 0 ||
-            haveLocalWork()) {
-          GC.IdleCount.fetch_sub(1, std::memory_order_acq_rel);
-          break;
-        }
-        if (GC.IdleCount.load(std::memory_order_acquire) == NumVProcs)
-          return; // nobody has work and nobody can create any
-        std::this_thread::yield();
-      }
+      // The scanner whose going idle ends the scan wakes everyone.
+      if (GC.IdleCount.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          NumVProcs)
+        GC.ScanBell.ring(INT32_MAX);
+      spinThenPark(spinBudget(NumVProcs), WorkOrEnd, [&](unsigned Micros) {
+        uint32_t Seen = GC.ScanBell.prepare();
+        if (WorkOrEnd())
+          GC.ScanBell.cancel();
+        else
+          GC.ScanBell.park(Seen, std::chrono::microseconds(Micros));
+      });
+      if (!HaveWork() && AllIdle())
+        return; // nobody has work and nobody can create any
+      GC.IdleCount.fetch_sub(1, std::memory_order_acq_rel);
     }
   }
 

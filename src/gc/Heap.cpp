@@ -108,7 +108,7 @@ void GCWorld::requestGlobalGC() {
   // limit; each enters the collector at its next safe point.
   for (auto &H : Heaps)
     H->local().signalLimit();
-  // Ring the broadcast doorbell: vprocs parked in the idle ladder or in
+  // Ring the broadcast doorbell: vprocs parked in the idle wait or in
   // channel waits head for their safe points now instead of adding a
   // park interval to everyone's stop-the-world entry.
   notifyWakeupHook();

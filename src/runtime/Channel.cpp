@@ -70,12 +70,7 @@ void Channel::send(VProc &VP, Value V) {
   // Synchronous send: park until a receiver takes the message. blockOn
   // keeps polling, so steals are answered and collections can proceed.
   RT.scheduler().blockOn(
-      VP,
-      [](void *P) {
-        return static_cast<SendItem *>(P)->Taken.load(
-            std::memory_order_acquire);
-      },
-      &Item);
+      VP, [&] { return Item.Taken.load(std::memory_order_acquire); });
 }
 
 bool Channel::tryRecv(VProc &VP, Value &Out) {
@@ -141,12 +136,7 @@ Value Channel::recv(VProc &VP, Value ContData, Value *ContOut) {
     finishTake(VP, Direct);
   else
     RT.scheduler().blockOn(
-        VP,
-        [](void *P) {
-          return static_cast<Waiter *>(P)->Ready.load(
-              std::memory_order_acquire);
-        },
-        &W);
+        VP, [&] { return W.Ready.load(std::memory_order_acquire); });
 
   // Root the message before leaving the waiter queue; there is no safe
   // point between observing Ready and this line, so the value cannot
@@ -223,12 +213,7 @@ Value Channel::selectRecv(VProc &VP, Channel *const *Chans, unsigned N,
   }
   if (!SelfClaimed)
     VP.runtime().scheduler().blockOn(
-        VP,
-        [](void *P) {
-          return static_cast<Waiter *>(P)->Ready.load(
-              std::memory_order_acquire);
-        },
-        &W);
+        VP, [&] { return W.Ready.load(std::memory_order_acquire); });
 
   // Root the message before deregistering (the waiter queue's roots are
   // what kept it alive while we were parked).

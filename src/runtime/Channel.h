@@ -27,12 +27,12 @@
 /// the proxy path.
 ///
 /// Blocking goes through the scheduler: a blocked receiver registers a
-/// Waiter carrying its home node, spins on it in user space for about a
-/// park-and-wake round trip (Scheduler::blockOn), then parks on its
-/// node's doorbell; send() claims the waiter (a CAS -- selectRecv
-/// registers one waiter on several channels, whose senders hold
-/// different locks), fills it, marks it Ready, and *rings the receiver's
-/// node*. Blocked senders symmetrically spin, then park, until a
+/// Waiter carrying its home node, spins on it in user space for the
+/// spin budget (Scheduler::blockOn; none when the vprocs outnumber the
+/// CPUs), then parks on its node's doorbell; send() claims the waiter
+/// (a CAS -- selectRecv registers one waiter on several channels, whose
+/// senders hold different locks), fills it, marks it Ready, and *rings
+/// the receiver's node*. Blocked senders symmetrically spin, then park, until a
 /// consumer sets their item's Taken completion flag and rings the
 /// sender's node. The two-flag handoff
 /// (Claimed to pick a unique filler, Ready/Taken to publish completion)

@@ -150,10 +150,9 @@ void Runtime::workerLoop(unsigned Id) {
           this);
       continue;
     }
-    // Drain phase: count ourselves once, then keep polling so pending
-    // collections (which need every vproc) can finish. The idle ladder's
-    // bounded parks keep the polling cheap without delaying a pending
-    // collection by more than one park interval.
+    // Drain phase: count ourselves once, then wait for the next run or
+    // termination (both broadcast), polling so pending collections
+    // (which need every vproc) can finish.
     if (!Counted) {
       Counted = true;
       Sched->noteProgress(VP);
@@ -161,8 +160,13 @@ void Runtime::workerLoop(unsigned Id) {
       // run() waits for the last check-in parked on vproc 0's doorbell.
       Lot->ring(VProcs[0]->node());
     }
-    VP.poll();
-    Sched->idleBackoff(VP, /*RecordStats=*/false);
+    Sched->blockOn(
+        VP,
+        [&] {
+          return Terminating.load(std::memory_order_acquire) ||
+                 RunEpoch.load(std::memory_order_acquire) != SeenEpoch;
+        },
+        /*RecordStats=*/false);
   }
 }
 
@@ -195,16 +199,13 @@ void Runtime::run(MainFn Main, void *Ctx) {
   // backstop interval.
   ShuttingDown.store(true, std::memory_order_release);
   Drained.fetch_add(1, std::memory_order_acq_rel);
-  Sched->noteProgress(VP0);
   Sched->blockOn(
       VP0,
-      [](void *Ctx) {
-        Runtime *RT = static_cast<Runtime *>(Ctx);
-        return RT->Drained.load(std::memory_order_acquire) >=
-                   RT->numVProcs() &&
-               !RT->World.collectionInProgress();
+      [&] {
+        return Drained.load(std::memory_order_acquire) >= numVProcs() &&
+               !World.collectionInProgress();
       },
-      this, /*RecordStats=*/false);
+      /*RecordStats=*/false);
   Sched->noteProgress(VP0);
 }
 

@@ -44,7 +44,7 @@ struct SchedStats {
   // Failures and idleness.
   uint64_t FailedStealAttempts = 0; ///< handshakes that yielded no task
   uint64_t FailedStealRounds = 0;   ///< full victim sweeps with no task
-  uint64_t Parks = 0;               ///< park episodes (idle ladder + channels)
+  uint64_t Parks = 0;               ///< park episodes (idle waits + channels)
   uint64_t ParkNanos = 0;           ///< total time spent parked
 
   // Doorbell traffic (ParkLot). Ringer-side counters are charged to the

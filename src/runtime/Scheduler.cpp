@@ -11,44 +11,14 @@
 #include "support/Assert.h"
 #include "support/Compiler.h"
 #include "support/Logging.h"
+#include "support/Wait.h"
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 using namespace manti;
 
 namespace {
-
-/// Idle-ladder shape: the first rungs retry immediately (the caller's
-/// poll loop is the spin), the next rungs yield, and everything beyond
-/// parks on the node doorbell in bounded, exponentially growing waits.
-constexpr unsigned SpinRounds = 16;
-constexpr unsigned YieldRounds = 32;
-constexpr unsigned MinParkMicros = 8;
-/// Park backstop: a ring ends the wait immediately, so this bound only
-/// matters when a wake-up signal has no ring (e.g. a join counter
-/// hitting zero). Small enough that such a vproc still reaches its next
-/// safe point promptly.
-constexpr unsigned MaxParkMicros = 256;
-
-/// blockOn's first stage: a user-space spin on the predicate for about
-/// one park-and-wake round trip. A channel partner that answers within
-/// it costs neither a sched_yield nor a futex. Bounded by time because a
-/// pause instruction's latency differs several-fold between x86
-/// generations. Chosen by a kv-open sweep on a 4-vCPU Xeon (8-s runs,
-/// three seeds): a 7.5-us budget gave a p50 of 2.03-2.18 us, 30 us gave
-/// 1.79-1.97 us and 120 us 1.78-2.00 us (no spin stage: 2.70-3.18 us),
-/// so the shorter of the two plateau points.
-constexpr std::chrono::nanoseconds BlockSpinBudget{30'000};
-/// Spin iterations between steady-clock reads (a clock read costs about
-/// as much as a pause; reading it every few dozen keeps the overshoot
-/// under a microsecond).
-constexpr unsigned BlockSpinClockStride = 32;
-
-/// blockOn's second stage: poll+yield rounds before the first doorbell
-/// park, for a partner that is descheduled rather than mid-operation.
-constexpr unsigned BlockSpinRounds = 48;
 
 /// noteSpawn escalates a wasted local ring to the nearest parked remote
 /// node only once the spawner's queue has at least this many tasks (the
@@ -75,7 +45,7 @@ constexpr unsigned PatienceMax = 512;
 } // namespace
 
 Scheduler::Scheduler(Runtime &RT)
-    : RT(RT), Lot(RT.parkLot()) {
+    : RT(RT), Lot(RT.parkLot()), SpinBudget(spinBudget(RT.numVProcs())) {
   unsigned N = RT.numVProcs();
   Backoff.resize(N);
   for (BackoffState &B : Backoff)
@@ -169,20 +139,21 @@ VProc *Scheduler::pickVictim(VProc &Thief) {
 }
 
 void Scheduler::runUntil(VProc &VP, bool (*Done)(void *), void *Ctx) {
-  while (!Done(Ctx)) {
-    VP.poll();
-    if (VP.runOneLocal()) {
-      noteProgress(VP);
-      continue;
-    }
+  // The idle wait's check: poll, then run a local or a stolen task.
+  auto RanTask = [&] {
     if (Done(Ctx))
-      break;
-    if (stealAndRun(VP)) {
+      return true;
+    VP.poll();
+    if (VP.runOneLocal() || (!Done(Ctx) && stealAndRun(VP))) {
       noteProgress(VP);
-      continue;
+      return true;
     }
-    idleBackoff(VP, /*RecordStats=*/true, Done, Ctx);
-  }
+    return false;
+  };
+  while (!Done(Ctx))
+    spinThenPark(SpinBudget, RanTask, [&](unsigned Micros) {
+      doorbellPark(VP, Micros, /*RecordStats=*/true, Done, Ctx);
+    });
 }
 
 bool Scheduler::stealAndRun(VProc &Thief) {
@@ -233,52 +204,49 @@ bool Scheduler::attemptSteal(VProc &Thief, VProc &Victim) {
   Victim.heap().signalSteal();
   ringNode(Thief, Victim.node());
 
-  // Wait for the victim's answer; keep answering our own mailbox and
-  // joining pending collections so nothing deadlocks.
-  for (;;) {
-    int S = Req.State.load(std::memory_order_acquire);
-    if (S == StealRequest::Filled) {
-      // The acquire above pairs with the victim's release store of
-      // Filled: the batch slots and Count are visible (step 2).
-      unsigned Count = Req.Count;
-      MANTI_CHECK(Count >= 1 && Count <= MaxTaskBatch,
-                  "steal batch out of range");
-      // Run the oldest task directly -- no safe point between here and
-      // the body's first read or root of its environment -- and queue
-      // the rest (oldest first, so the local LIFO end still prefers the
-      // newest work).
-      Task First = Req.Stolen[0];
-      for (unsigned I = 1; I < Count; ++I)
-        Thief.enqueueStolen(Req.Stolen[I]);
-      for (unsigned I = 0; I < Count; ++I)
-        Req.Stolen[I] = Task();
-      Req.Count = 0;
-      Req.State.store(StealRequest::Idle, std::memory_order_release);
-      Thief.SStats.TasksStolen += Count;
-      ++Thief.SStats.StealBatches;
-      if (Victim.node() == Thief.node())
-        ++Thief.SStats.NodeLocalBatches;
-      else
-        ++Thief.SStats.CrossNodeBatches;
-      // A multi-task batch leaves fresh work on this node's queue: ring
-      // it so parked peers help with the batch.
-      if (Count > 1)
-        ringNode(Thief, Thief.node());
-      MANTI_DEBUG("sched", "vp%u stole %u task(s) from vp%u (%s-node)",
-                  Thief.id(), Count, Victim.id(),
-                  Victim.node() == Thief.node() ? "same" : "cross");
-      Thief.runTask(First);
-      return true;
-    }
-    if (S == StealRequest::Failed) {
-      Req.State.store(StealRequest::Idle, std::memory_order_release);
-      ++Thief.SStats.FailedStealAttempts;
-      return false;
-    }
-    serviceSteal(Thief);
-    Thief.heap().safePoint();
-    std::this_thread::yield();
+  // Wait for the victim's answer, answering our own mailbox and joining
+  // pending collections so nothing deadlocks; the victim rings our node
+  // once the answer is published.
+  int S = StealRequest::Posted;
+  blockOn(Thief, [&] {
+    return (S = Req.State.load(std::memory_order_acquire)) !=
+           StealRequest::Posted;
+  });
+  if (S == StealRequest::Failed) {
+    Req.State.store(StealRequest::Idle, std::memory_order_release);
+    ++Thief.SStats.FailedStealAttempts;
+    return false;
   }
+  // The acquire above pairs with the victim's release store of Filled:
+  // the batch slots and Count are visible (step 2).
+  unsigned Count = Req.Count;
+  MANTI_CHECK(Count >= 1 && Count <= MaxTaskBatch,
+              "steal batch out of range");
+  // Run the oldest task directly -- no safe point between here and the
+  // body's first read or root of its environment -- and queue the rest
+  // (oldest first, so the local LIFO end still prefers the newest work).
+  Task First = Req.Stolen[0];
+  for (unsigned I = 1; I < Count; ++I)
+    Thief.enqueueStolen(Req.Stolen[I]);
+  for (unsigned I = 0; I < Count; ++I)
+    Req.Stolen[I] = Task();
+  Req.Count = 0;
+  Req.State.store(StealRequest::Idle, std::memory_order_release);
+  Thief.SStats.TasksStolen += Count;
+  ++Thief.SStats.StealBatches;
+  if (Victim.node() == Thief.node())
+    ++Thief.SStats.NodeLocalBatches;
+  else
+    ++Thief.SStats.CrossNodeBatches;
+  // A multi-task batch leaves fresh work on this node's queue: ring it
+  // so parked peers help with the batch.
+  if (Count > 1)
+    ringNode(Thief, Thief.node());
+  MANTI_DEBUG("sched", "vp%u stole %u task(s) from vp%u (%s-node)",
+              Thief.id(), Count, Victim.id(),
+              Victim.node() == Thief.node() ? "same" : "cross");
+  Thief.runTask(First);
+  return true;
 }
 
 bool Scheduler::serviceSteal(VProc &Victim) {
@@ -288,9 +256,14 @@ bool Scheduler::serviceSteal(VProc &Victim) {
   // The mailbox is cleared before the answer is published, so the thief
   // (or another) may post again as soon as it sees Filled or Failed.
   Victim.Mailbox.store(nullptr, std::memory_order_release);
+  // Read before the answer is published: from then on the thief owns
+  // the request again. The answer rings the thief's node outside the
+  // ring counters, which measure the spawn and channel ring policy.
+  NodeId ThiefNode = Req->ThiefNode;
   std::size_t K = Victim.ReadyQ.size();
   if (K == 0) {
     Req->State.store(StealRequest::Failed, std::memory_order_release);
+    Lot.ringParked(ThiefNode); // a parked thief waits for the answer
     return true;
   }
   // Steal the oldest ceil(k/2) tasks, up to MaxTaskBatch: they are the
@@ -307,7 +280,7 @@ bool Scheduler::serviceSteal(VProc &Victim) {
   // *requests* a global GC (which only runs at safe points, and the
   // victim takes none inside this function).
   unsigned AffinityMatches = 0;
-  Take = Victim.popForSteal(Req->ThiefNode, Take, Req->Stolen,
+  Take = Victim.popForSteal(ThiefNode, Take, Req->Stolen,
                             &AffinityMatches);
   for (unsigned I = 0; I < Take; ++I) {
     if (RT.lazyPromotion()) {
@@ -326,37 +299,28 @@ bool Scheduler::serviceSteal(VProc &Victim) {
   Victim.SStats.StolenEnvBytes += EnvBytes;
   Victim.SStats.AffinityHandoffs += AffinityMatches;
   if (EnvBytes > 0)
-    RT.world().traffic().record(Victim.node(), Req->ThiefNode, EnvBytes);
+    RT.world().traffic().record(Victim.node(), ThiefNode, EnvBytes);
 
   // Handshake step 2: plain writes above, then the release store.
   Req->State.store(StealRequest::Filled, std::memory_order_release);
+  Lot.ringParked(ThiefNode);
   return true;
-}
-
-unsigned Scheduler::parkMicrosFor(unsigned Step) {
-  return std::min(MinParkMicros << std::min(Step, 5u), MaxParkMicros);
 }
 
 void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
                              bool (*Pred)(void *), void *PredCtx) {
-  // Doorbell park: snapshot the epochs, re-check every standing wake
-  // condition, then wait. Any ring that lands after the snapshot --
-  // including the global-GC broadcast -- makes the wait return
-  // immediately, so the conditions checked here can never be missed.
+  // Snapshot the epoch, re-check every standing wake condition, then
+  // wait: a ring after the snapshot (a broadcast rings every node) ends
+  // the wait at once. The fence pairs with ParkLot::ringParked's: either
+  // that ringer sees prepare's registration and rings, or the re-checks
+  // below see the condition it published.
   ParkLot::Token T = Lot.prepare(VP.node());
-  // Fence pairing with ringNode: in the seq_cst fence order, either this
-  // fence precedes the ringer's (so the ringer's waiter-count load sees
-  // prepare's increment and rings) or the ringer's precedes this one
-  // (so the re-checks below see the condition its ring site published).
-  // Either way a condition set concurrently with this park cannot be
-  // missed, which is what lets blockOn use long ring-driven parks.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if ((Pred && Pred(PredCtx)) ||
       VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
       RT.world().rendezvousRequested()) {
     Lot.cancel(VP.node(), T);
-    std::this_thread::yield();
-    return;
+    return; // the caller's next check answers whatever is pending
   }
   auto Start = std::chrono::steady_clock::now();
   uint64_t RingLatency = 0;
@@ -377,33 +341,9 @@ void Scheduler::doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
   }
 }
 
-void Scheduler::idleBackoff(VProc &VP, bool RecordStats, bool (*Pred)(void *),
-                            void *PredCtx) {
-  BackoffState &B = Backoff[VP.id()];
-  unsigned R = ++B.IdleRounds;
-  if (R <= SpinRounds)
-    return; // spin rung: retry immediately, the caller's poll is the spin
-  if (R <= SpinRounds + YieldRounds ||
-      VP.Mailbox.load(std::memory_order_acquire) != nullptr ||
-      RT.world().rendezvousRequested()) {
-    // Yield rung -- also taken instead of parking whenever a thief or a
-    // pending collection needs a prompt answer.
-    std::this_thread::yield();
-    return;
-  }
-  doorbellPark(VP, parkMicrosFor(R - SpinRounds - YieldRounds - 1),
-               RecordStats, Pred, PredCtx);
-}
-
 bool Scheduler::ringNode(VProc &Ringer, NodeId Node) {
   ++Ringer.SStats.RingsSent;
-  // Skip the epoch bump and futex when nobody is parked: the common
-  // busy-system case stays a fence plus one atomic load. The fence
-  // pairs with doorbellPark's (see there): every ring site publishes
-  // its condition before calling here, so a parker that this load
-  // misses is one whose pre-park re-check sees the condition instead.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (Lot.parkedOn(Node) != 0 && Lot.ring(Node) != 0)
+  if (Lot.ringParked(Node) != 0)
     return true;
   ++Ringer.SStats.RingsWasted;
   return false;
@@ -430,44 +370,6 @@ void Scheduler::noteSpawn(VProc &VP, const Task &T) {
       ringNode(VP, Remote);
       return;
     }
-  }
-}
-
-void Scheduler::blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
-                        bool RecordStats) {
-  // Spin stage: the partner is usually mid-operation on another core,
-  // so wait for it in user space for a bounded time. poll() keeps this
-  // vproc answering steal requests and joining a pending collection.
-  auto SpinDeadline = std::chrono::steady_clock::now() + BlockSpinBudget;
-  for (unsigned I = 1;; ++I) {
-    if (Pred(Ctx))
-      return;
-    VP.poll();
-    cpuRelax();
-    if (I % BlockSpinClockStride == 0 &&
-        std::chrono::steady_clock::now() >= SpinDeadline)
-      break;
-  }
-  // Yield stage: a partner that has not answered by now is probably
-  // descheduled; give it the CPU before parking.
-  for (unsigned I = 0; I < BlockSpinRounds; ++I) {
-    if (Pred(Ctx))
-      return;
-    VP.poll();
-    std::this_thread::yield();
-  }
-  // Slow path: doorbell parks with the same growing bounded backstop as
-  // the idle ladder. Every wake-up a channel block waits for has a ring
-  // (hand-offs, Taken, steal requests, the GC broadcast) and the fence
-  // pairing in doorbellPark/ringNode means none can be missed, so the
-  // backstop is purely a safety net; it is kept short anyway because on
-  // an oversubscribed host a shallow sleep resumes faster than a deep
-  // futex wake. poll() between parks keeps this vproc answering steal
-  // requests and joining pending collections while blocked.
-  unsigned Round = 0;
-  while (!Pred(Ctx)) {
-    VP.poll();
-    doorbellPark(VP, parkMicrosFor(Round++), RecordStats, Pred, Ctx);
   }
 }
 

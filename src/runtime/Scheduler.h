@@ -38,13 +38,13 @@
 ///     empty (reach farther, sooner) or doubles it when steals are
 ///     reliably succeeding (stay near home), clamped to [8, 512] rounds.
 ///
-///   * Idle vprocs descend a spin -> yield -> park ladder instead of
-///     hammering victim mailboxes. The park rung is a *doorbell wait* in
-///     the ParkLot: the vproc parks on its node's doorbell and is rung
-///     awake by whoever produces work for it -- a spawner (on the
-///     spawner's or the task's hinted node), a thief posting a steal
+///   * An idle vproc waits like every other waiter in the runtime
+///     (spinThenPark, support/Wait.h): it keeps looking for work for the
+///     spin budget, then parks on its node's doorbell in the ParkLot and
+///     is rung awake by whoever produces work for it -- a spawner (on
+///     the spawner's or the task's hinted node), a thief posting a steal
 ///     request, a channel peer, or the global-GC trigger's broadcast.
-///     The bounded sleep (<= 256 us) remains only as a backstop, so a
+///     The park bound (8 us doubling to 256 us) is only a backstop, so a
 ///     missed ring can never strand a vproc.
 ///
 ///   * Spawns may carry a Task::Affinity node hint. noteSpawn rings the
@@ -53,9 +53,12 @@
 ///     (VProc::popForSteal) -- a soft preference; a starved thief is
 ///     never refused work.
 ///
-///   * Every *other* blocking loop in the runtime (channel send/recv,
-///     selectRecv) funnels through blockOn, which keeps polling for
-///     steal requests and pending collections between doorbell parks.
+///   * Every *other* blocking wait of a vproc (channel send/recv,
+///     selectRecv, the drains between runs) funnels through blockOn, and
+///     a thief waits for its victim's answer the same way; all of them
+///     keep polling for steal requests and pending collections between
+///     doorbell parks, and the victim rings the thief's node with its
+///     answer.
 ///
 /// Per-vproc SchedStats record node-local vs cross-node steals, batch
 /// sizes, failed rounds, park time, and doorbell traffic (rings sent /
@@ -71,6 +74,7 @@
 #include "runtime/SchedStats.h"
 #include "runtime/VProc.h"
 #include "support/Compiler.h"
+#include "support/Wait.h"
 
 #include <cstdint>
 #include <vector>
@@ -116,11 +120,12 @@ public:
   /// run is over") and VProc::joinWait (\p Done = the join counter hit
   /// zero). Each iteration answers \p VP's steal mailbox and takes a
   /// safe point, runs the newest local task, and only when the queue is
-  /// empty (and \p Done still false) steals or steps down the idle
-  /// ladder. Answering the mailbox *before* running
-  /// local work is what lets a spawner's queue be stolen while the
-  /// spawner works through it. \p Done must be safe to evaluate
-  /// concurrently with whoever makes it true (read atomics).
+  /// empty (and \p Done still false) steals. With no task anywhere it
+  /// waits as blockOn does, re-checking \p Done before every park.
+  /// Answering the mailbox *before* running local work is what lets a
+  /// spawner's queue be stolen while the spawner works through it.
+  /// \p Done must be safe to evaluate concurrently with whoever makes it
+  /// true (read atomics).
   void runUntil(VProc &VP, bool (*Done)(void *), void *Ctx);
 
   /// Thief side: posts a steal request along the proximity order and
@@ -140,24 +145,9 @@ public:
   /// \returns true if a request was answered (successfully or not).
   bool serviceSteal(VProc &Victim);
 
-  /// One step of the idle ladder for \p VP: spin, then yield, then park
-  /// for a bounded, exponentially growing interval. Never parks when a
-  /// steal request or a global collection is pending. Pass
-  /// \p RecordStats = false from the between-runs drain loops: those
-  /// keep idling after run() returns, and the stats must be quiescent
-  /// for aggregateStats() readers by then. A non-null \p Pred is an
-  /// extra wake condition re-checked after the park's epoch snapshot
-  /// (runUntil passes its Done condition), so a targeted ring for it
-  /// can never be lost.
-  void idleBackoff(VProc &VP, bool RecordStats = true,
-                   bool (*Pred)(void *) = nullptr, void *PredCtx = nullptr);
-
-  /// Resets \p VP's ladder and remote-steal throttle; call whenever the
-  /// vproc made progress.
-  void noteProgress(VProc &VP) {
-    Backoff[VP.id()].IdleRounds = 0;
-    Backoff[VP.id()].FailedRounds = 0;
-  }
+  /// Resets \p VP's remote-steal throttle; call whenever the vproc made
+  /// progress.
+  void noteProgress(VProc &VP) { Backoff[VP.id()].FailedRounds = 0; }
 
   /// Wake-up policy for a freshly spawned task: rings \p T's hinted node
   /// when it has one, otherwise \p VP's own node; when the local ring
@@ -166,16 +156,32 @@ public:
   /// local vprocs are saturated). Called by VProc::spawn.
   void noteSpawn(VProc &VP, const Task &T);
 
-  /// Blocks \p VP until \p Pred(Ctx) holds: a ~30 us poll+pause spin in
-  /// user space, then a short poll+yield spin, then doorbell parks on
-  /// \p VP's node with the bounded backstop.
-  /// Keeps answering steal requests and joining pending collections
-  /// between parks, so channel blocking can never deadlock a collection.
+  /// Blocks \p VP until \p Pred() holds: one spinThenPark whose check
+  /// is \p Pred plus a poll, spinning for the spin budget (zero when the
+  /// vprocs outnumber the CPUs), then parking on \p VP's node's doorbell
+  /// with the growing bound, a safety net only: every wake-up a block
+  /// waits for is rung (hand-offs, Taken, steal answers, the GC
+  /// broadcast). The polls keep answering steal requests and joining
+  /// pending collections, so a block can never deadlock a collection.
   /// \p Pred must be safe to evaluate concurrently with its producer
   /// (read atomics). Pass \p RecordStats = false from between-runs
   /// waits, whose idling must not leak into the per-run statistics.
-  void blockOn(VProc &VP, bool (*Pred)(void *), void *Ctx,
-               bool RecordStats = true);
+  template <typename PredT>
+  void blockOn(VProc &VP, PredT Pred, bool RecordStats = true) {
+    spinThenPark(
+        SpinBudget,
+        [&] {
+          if (Pred())
+            return true;
+          VP.poll();
+          return false;
+        },
+        [&](unsigned Micros) {
+          doorbellPark(
+              VP, Micros, RecordStats,
+              [](void *P) { return (*static_cast<PredT *>(P))(); }, &Pred);
+        });
+  }
 
   /// Rings \p Node's doorbell on \p Ringer's behalf (stats accounting),
   /// skipping the futex when nobody is parked there. \returns true when
@@ -214,9 +220,6 @@ private:
   void doorbellPark(VProc &VP, unsigned Micros, bool RecordStats,
                     bool (*Pred)(void *), void *PredCtx);
 
-  /// Exponential park bound for ladder position \p Step.
-  static unsigned parkMicrosFor(unsigned Step);
-
   /// One adaptive-patience sample (owner thread): account the round,
   /// and at each window boundary halve or double the patience from the
   /// window's steal success rate, clamped to [8, 512].
@@ -226,7 +229,6 @@ private:
   /// pad to a cache line so idle vprocs on different nodes don't
   /// ping-pong a shared line (the very traffic this scheduler avoids).
   struct alignas(CacheLineSize) BackoffState {
-    unsigned IdleRounds = 0;   ///< ladder position (spin/yield/park)
     unsigned FailedRounds = 0; ///< consecutive empty rounds (tier unlock)
     unsigned Patience = 0;     ///< adaptive remote-steal patience
     unsigned WindowRounds = 0; ///< steal rounds in the current window
@@ -235,12 +237,14 @@ private:
 
   Runtime &RT;
   ParkLot &Lot;
+  /// Every wait's spin budget: spinBudget(vprocs, CPUs).
+  const std::chrono::nanoseconds SpinBudget;
   /// Proximity[v][tier] = vproc ids at that distance from vproc v.
   std::vector<std::vector<std::vector<unsigned>>> Proximity;
   /// NodeOrder[n] = the other nodes hosting vprocs, nearest first (ring
   /// escalation order).
   std::vector<std::vector<NodeId>> NodeOrder;
-  /// Owner-thread-only ladder state, indexed by vproc id.
+  /// Owner-thread-only steal-throttle state, indexed by vproc id.
   std::vector<BackoffState> Backoff;
 };
 

@@ -79,7 +79,7 @@ public:
   void add(int64_t N = 1) { Pending.fetch_add(N, std::memory_order_relaxed); }
   /// Decrements the count. The decrement that completes the region
   /// (count reaching <= 0) also rings the registered waiter's node
-  /// doorbell, so a joiner sleeping in the idle ladder resumes on the
+  /// doorbell, so a joiner sleeping in the idle wait resumes on the
   /// ring instead of its park backstop. Out of line: the ring needs the
   /// scheduler (defined in VProc.cpp).
   void sub(int64_t N = 1);

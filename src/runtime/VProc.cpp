@@ -109,24 +109,16 @@ void JoinCounter::sub(int64_t N) {
     return;
   if (!W)
     return;
-  Scheduler &Sched = W->runtime().scheduler();
-  // Ring-site fence discipline (pairs with doorbellPark's fence, see
-  // ringNode): the completion was published by the fetch_sub above; the
-  // fence orders it before the waiter-count load, so a joiner parking
-  // concurrently either sees done() in its pre-park re-check or its
-  // prepare() is visible here and the ring lands. No stats bump: the
+  // The fetch_sub above published the completion. No stats bump: the
   // SchedStats ring counters are owner-thread-only, and sub() runs on
   // whichever vproc finished the subtask.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  ParkLot &Lot = Sched.parkLot();
-  if (Lot.parkedOn(W->node()) != 0)
-    Lot.ring(W->node());
+  W->runtime().scheduler().parkLot().ringParked(W->node());
 }
 
 void VProc::joinWait(JoinCounter &Join) {
   Scheduler &Sched = RT.scheduler();
   // Targeted wake-up routing: the completing sub() rings this node, so
-  // runUntil's idle-ladder parks can use their full bounded backstop
+  // runUntil's idle parks can use their full bounded backstop
   // instead of busy-polling the counter.
   Join.setWaiter(this);
   Sched.runUntil(

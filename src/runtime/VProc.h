@@ -43,7 +43,7 @@
 /// (objectHeader follows the forwarding word) until the next local
 /// collection repairs them.
 ///
-/// Victim selection, steal batching, and the idle back-off ladder live
+/// Victim selection, steal batching, and the idle wait live
 /// in the Scheduler subsystem (runtime/Scheduler.h); the VProc keeps the
 /// owner-thread queue operations and the mailbox the handshake runs on.
 ///
@@ -140,7 +140,7 @@ public:
 
   /// Runs local and stolen work until \p Join completes
   /// (Scheduler::runUntil): answers steal requests before every local
-  /// task, and backs off through the idle ladder when no work is found.
+  /// task, and waits (spin, then park) when no work is found.
   /// Takes safe points, so callers keep their live values rooted.
   void joinWait(JoinCounter &Join);
 

@@ -11,12 +11,13 @@
 #include "runtime/VProc.h"
 #include "service/KVStore.h"
 #include "support/Assert.h"
+#include "support/Wait.h"
 #include "support/XorShift.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <thread>
 
 using namespace manti;
 
@@ -137,16 +138,26 @@ void workerTask(Runtime &, VProc &VP, Task T) {
 /// every worker once.
 void generatorBody(VProc &VP, ServingState *St, unsigned G) {
   const std::vector<Request> &Sched = St->Schedules[G];
+  const std::chrono::nanoseconds Budget =
+      spinBudget(VP.runtime().numVProcs());
   for (uint32_t I = 0; I < Sched.size(); ++I) {
     const Request &R = Sched[I];
-    for (;;) {
-      uint64_t Now = elapsedNanos(*St);
-      if (Now >= R.ScheduledNanos)
-        break;
-      VP.poll();
-      if (R.ScheduledNanos - Now > 50000)
-        std::this_thread::yield();
-    }
+    // A clock wait: nobody rings, so the park is a sleep, cut short at
+    // the scheduled time.
+    spinThenPark(
+        Budget,
+        [&] {
+          if (elapsedNanos(*St) >= R.ScheduledNanos)
+            return true;
+          VP.poll();
+          return false;
+        },
+        [&](unsigned Micros) {
+          uint64_t Now = elapsedNanos(*St);
+          if (Now < R.ScheduledNanos)
+            sleepMicros(static_cast<unsigned>(std::min<uint64_t>(
+                Micros, (R.ScheduledNanos - Now) / 1000)));
+        });
     unsigned Shard = St->Store->shardOf(R.Key);
     St->Chans[Shard]->send(VP, Value::fromInt(encodeToken(G, I)));
   }

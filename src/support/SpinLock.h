@@ -5,19 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A TTAS spin lock that yields to the OS scheduler after a short spin.
-/// The paper's chunk-manager synchronization is "node-local or global" and
-/// rarely contended, so a spin lock is the right weight; yielding keeps it
-/// safe on machines with fewer hardware threads than vprocs (including the
-/// single-core CI container this reproduction runs on).
+/// A TTAS spin lock. Its critical sections (a chunk-manager list, a
+/// channel's queues, a gray-stack push) last well under a microsecond,
+/// so a waiter watches the lock word from its own cache, with a pause
+/// hint, until the holder releases it. Only a holder that lost its CPU
+/// keeps the lock longer; the waiter's spin then runs out and it sleeps
+/// (spinThenPark) instead of holding a CPU against the holder.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MANTI_SUPPORT_SPINLOCK_H
 #define MANTI_SUPPORT_SPINLOCK_H
 
+#include "support/Wait.h"
+
 #include <atomic>
-#include <thread>
 
 namespace manti {
 
@@ -29,22 +31,21 @@ public:
   SpinLock &operator=(const SpinLock &) = delete;
 
   void lock() {
-    for (unsigned Spins = 0;; ++Spins) {
-      if (!Flag.exchange(true, std::memory_order_acquire))
-        return;
-      while (Flag.load(std::memory_order_relaxed)) {
-        if (Spins++ > SpinLimit)
-          std::this_thread::yield();
-      }
-    }
+    if (!Flag.exchange(true, std::memory_order_acquire))
+      return;
+    // The threads: this waiter and the holder.
+    spinThenPark(spinBudget(2), [this] { return try_lock(); }, sleepMicros);
   }
 
-  bool try_lock() { return !Flag.exchange(true, std::memory_order_acquire); }
+  /// Reads before writing, so waiters spin on a shared copy of the line.
+  bool try_lock() {
+    return !Flag.load(std::memory_order_relaxed) &&
+           !Flag.exchange(true, std::memory_order_acquire);
+  }
 
   void unlock() { Flag.store(false, std::memory_order_release); }
 
 private:
-  static constexpr unsigned SpinLimit = 64;
   std::atomic<bool> Flag{false};
 };
 

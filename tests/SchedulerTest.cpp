@@ -4,7 +4,7 @@
 //
 // Covers the Scheduler subsystem: proximity-tier victim ordering, steal
 // batching, the cross-thread queue
-// depth counter, the idle ladder's park accounting, the ParkLot
+// depth counter, the idle wait's park accounting, the ParkLot
 // doorbells (node-exact rings, broadcast, and the ring-vs-park race),
 // spawn affinity routing, steals through the real fork-join entry
 // points (parallelFor, parallelReduce), and a steal handshake hammer
@@ -210,20 +210,20 @@ TEST(Scheduler, OneHandshakeMovesHalfTheQueueUpToTheCap) {
 }
 
 //===----------------------------------------------------------------------===//
-// Idle ladder
+// Idle wait
 //===----------------------------------------------------------------------===//
 
 TEST(Scheduler, IdleVProcsParkAndAccountTheTime) {
   Runtime RT(testRuntimeConfig(4), Topology::uniform(2, 2));
   RT.run(
       [](Runtime &RT, VProc &, void *) {
-        // No work spawned: the three workers descend the full ladder.
-        // Each must first climb 32 yield rungs, and on a loaded host one
-        // yield can cost several milliseconds, so no fixed window is
-        // long enough. Wait instead until a worker sits on a doorbell at
-        // two polls in a row (a single sighting could be a park left
-        // over from before the run, which is not counted); the deadline
-        // only bounds a real failure.
+        // No work spawned: the three workers look for work for the spin
+        // budget, then park. The budget is time, but on a loaded host a
+        // descheduled worker can take milliseconds to spend it, so no
+        // fixed window is long enough. Wait instead until a worker sits
+        // on a doorbell at two polls in a row (a single sighting could
+        // be a park left over from before the run, which is not
+        // counted); the deadline only bounds a real failure.
         ParkLot &Lot = RT.parkLot();
         auto AnyParked = [&Lot] {
           for (NodeId N = 0; N < Lot.numNodes(); ++N)
